@@ -2,8 +2,8 @@
 
 Runs the same pinned workload set as ``repro-sim perf`` through
 pytest-benchmark, and gates the machine-independent ratio metrics against
-the committed ``BENCH_PR10.json`` baseline.  Absolute throughput numbers in
-the baseline document the machine that recorded it; only the ratios
+the committed ``BENCH_PR10.quick.json`` baseline.  Absolute throughput
+numbers in the baseline document the machine that recorded it; only the ratios
 (per-workload cycles/s normalized by the run's own geometric mean,
 fast-forward speedup, bit-identity) are asserted here, because this suite
 runs on arbitrary hardware.
@@ -31,14 +31,3 @@ def test_perf_quick_vs_committed_baseline(once):
     failures = check_regression(doc, load_doc(QUICK_BASELINE),
                                 ratios_only=True)
     assert not failures, failures
-
-
-def test_committed_baseline_records_event_horizon_win():
-    """The committed doc must carry the same-machine kernel comparison
-    that motivated PR 10: >= 1.5x on a latency-dominated multithreaded
-    workload (measured 3.8x on hilat_4T_L2=256)."""
-    doc = load_doc(Path(__file__).with_name("BENCH_PR10.json"))
-    eh = doc["event_horizon"]
-    assert eh["workload"] == "hilat_4T_L2=256"
-    assert eh["speedup_vs_pr7_kernel"] >= 1.5
-    assert doc["workloads"]["hilat_4T_L2=256"]["ff_cycles_skipped"] > 0

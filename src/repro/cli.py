@@ -396,19 +396,10 @@ def _cmd_sweep(args) -> int:
 
     doc = {
         "n_runs": results.n_runs,
-        "n_cached": results.n_cached,
-        "n_executed": results.n_executed,
-        "n_forked": results.n_forked,
-        "warmup_cycles_saved": results.warmup_cycles_saved,
-        "ff_jumps": results.ff_jumps,
-        "ff_cycles_skipped": results.ff_cycles_skipped,
+        **results.counters.to_dict(),
         "elapsed_s": elapsed,
         "runs": [_entry(spec, stats) for spec, stats in results.items()],
     }
-    if results.n_screened or results.n_promoted:
-        doc["n_screened"] = results.n_screened
-        doc["n_promoted"] = results.n_promoted
-        doc["cycle_cells_saved"] = results.cycle_cells_saved
     print(json.dumps(doc, indent=2))
     summary = (
         f"[sweep: {results.n_runs} runs, {results.n_cached} cached, "
@@ -419,8 +410,7 @@ def _cmd_sweep(args) -> int:
     )
     if results.n_screened or results.n_promoted:
         summary += (
-            f", {results.n_screened} screened / {results.n_promoted} "
-            f"promoted ({results.cycle_cells_saved} cycle cells saved)"
+            f", {results.n_screened} screened / {results.n_promoted} promoted"
         )
     print(f"{summary}, {elapsed:.1f}s]", file=sys.stderr)
     return 0

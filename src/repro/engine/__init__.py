@@ -7,10 +7,11 @@ same split the paper applies to the processor pipeline. Three layers:
   hashable description of one simulation (workload + config overrides +
   budgets + seed + ``REPRO_SCALE``); :class:`Sweep` expands grids of specs
   declaratively.
-* **Execution** (:mod:`repro.engine.scheduler`) — :class:`Engine` fans a
-  batch of specs out over a process pool (serial fallback for one worker)
-  and returns results keyed by spec, in submission order regardless of
-  completion order.
+* **Execution** (:mod:`repro.engine.scheduler`) — :class:`Engine` runs a
+  batch of specs as tasks through one executor loop (a process pool, or
+  this process for one worker) and returns results keyed by spec, in
+  submission order regardless of completion order, with one
+  :class:`Counters` record of how they were produced.
 * **Persistence** (:mod:`repro.engine.cache`) — :class:`ResultCache` is a
   content-addressed on-disk store keyed by :meth:`RunSpec.key`, so reruns
   and interrupted sweeps resume for free.
@@ -40,6 +41,7 @@ from repro.engine.backends import (
 from repro.engine.cache import CACHE_DIR_ENV, ResultCache, default_cache_dir
 from repro.engine.scheduler import (
     WORKERS_ENV,
+    Counters,
     Engine,
     SweepResult,
     resolve_workers,
@@ -51,6 +53,7 @@ from repro.router.spec import RouterSpec
 __all__ = [
     "Backend",
     "CACHE_DIR_ENV",
+    "Counters",
     "Engine",
     "RouterSpec",
     "backend_names",

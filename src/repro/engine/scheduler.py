@@ -1,29 +1,30 @@
-"""Execution layer: fan a batch of specs out over worker processes.
+"""Execution layer: run a batch of specs as tasks through one loop.
 
 :class:`Engine` is the single entry point every experiment driver uses:
 ``engine.map(specs)`` dedupes the batch, serves what it can from the
-in-memory memo and the on-disk cache, executes the misses — in this
-process for one worker, over a :class:`~concurrent.futures.Process
-PoolExecutor` otherwise — and returns a :class:`SweepResult` keyed by
-spec in *submission* order, regardless of completion order. Results are
-therefore byte-identical for any worker count.
+in-memory memo and the on-disk cache, runs the misses, and returns a
+:class:`SweepResult` keyed by spec in *submission* order, regardless of
+completion order, so results are byte-identical for any worker count.
 
-Worker processes receive plain dicts (``RunSpec.to_dict``) and return
-plain dicts (``SimStats.to_dict``), the same representation the cache
-stores, so results cross process boundaries without bespoke pickling.
+A planner turns the misses into tasks: a *cold* cell; a warm-up group's
+*lead*, which simulates the group's shared warm-up once, snapshots the
+boundary (:mod:`repro.engine.snapshot`) and runs its own measured
+region; and a *tail*, which restores that snapshot to simulate only its
+own measured region and is ready once the snapshot exists — in the
+cache, or when its lead lands.  Groups exist only under ``fork_warmup``:
+cycle misses sharing a :meth:`~repro.engine.spec.RunSpec.warmup_key`
+evolve identically until measurement starts.  Forked results stay
+byte-identical to cold runs; only the wall clock changes.
 
-**Forked sweeps.** With ``fork_warmup=N`` the engine additionally
-partitions the cycle-backend misses by
-:meth:`~repro.engine.spec.RunSpec.warmup_key` — the hash of everything
-that shapes the machine through the warm-up boundary.  Cells sharing a
-key evolve identically until measurement starts, so each group's warm-up
-is simulated **once**, snapshotted (:mod:`repro.engine.snapshot`), and
-every other cell restores the snapshot and simulates only its divergent
-measured tail.  Results stay byte-identical to cold runs (the snapshot
-bit-identity differential suite is the gate); only the wall clock
-changes.  Snapshots are content-addressed in the :class:`ResultCache`
-beside the results, so a later invocation sweeping new measured budgets
-over an already-warmed prefix forks without paying any warm-up at all.
+One ``wait(FIRST_COMPLETED)`` loop runs the tasks on one
+:class:`~concurrent.futures.ProcessPoolExecutor`, or in this process when
+at most one task is worth a worker (``workers=1``, a one-cell batch, the
+analytic backend).  Each result is recorded once, as it lands — memo,
+cache write, counters, progress event — so an interrupted sweep resumes
+from what already landed.  A tail whose snapshot cannot be restored runs
+cold instead, counted as unforked.  Pool workers exchange plain dicts
+(``RunSpec.to_dict`` / ``SimStats.to_dict``, the cache's representation);
+in-process tasks call the :class:`RunSpec` methods directly.
 """
 
 from __future__ import annotations
@@ -31,10 +32,14 @@ from __future__ import annotations
 import copy
 import os
 import warnings
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
+from repro.engine import snapshot
 from repro.engine.backends import get_backend
 from repro.engine.cache import ResultCache
 from repro.engine.spec import RunSpec
@@ -77,80 +82,109 @@ def resolve_workers(workers: int | None = None) -> int:
     return max(1, workers)
 
 
+def _lead(spec: RunSpec):
+    """Pay ``spec``'s warm-up once, snapshot the boundary, then run its
+    own measured region on the same machine.
+
+    Returns ``(snapshot, stats)``; the stats are bit-identical to a cold
+    ``execute()`` because capture is non-destructive and the continued
+    run resolves the same budgets.
+    """
+    snap, proc = snapshot.capture_warmup(spec)
+    kwargs = spec.run_kwargs()
+    kwargs["warmup_commits"] = 0
+    return snap, proc.run(**kwargs)
+
+
+# The three pool entry points.  They stay module-level (the pool pickles
+# them by reference) and are looked up when a task is submitted.
+
+
 def _execute_payload(spec_dict: dict) -> dict:
-    """Worker-side entry point (module-level so it pickles)."""
+    """Worker side of a cold cell."""
     return RunSpec.from_dict(spec_dict).execute().to_dict()
 
 
 def _warmup_payload(spec_dict: dict) -> tuple[bytes, dict]:
-    """Worker-side fork-group leader: pay the group's shared warm-up once,
-    snapshot the boundary, then run this spec's own measured tail.
-
-    Returns ``(snapshot_bytes, stats_dict)`` — the leader's result is
-    bit-identical to a cold ``execute()`` because capture is
-    non-destructive and the continued run resolves the same budgets.
-    """
-    from repro.engine.snapshot import capture_warmup
-
-    spec = RunSpec.from_dict(spec_dict)
-    snap, proc = capture_warmup(spec)
-    kwargs = spec.run_kwargs()
-    kwargs["warmup_commits"] = 0
-    stats = proc.run(**kwargs)
+    """Worker side of a lead: ``(snapshot_bytes, stats_dict)``."""
+    snap, stats = _lead(RunSpec.from_dict(spec_dict))
     return snap.to_bytes(), stats.to_dict()
 
 
 def _tail_payload(
     spec_dict: dict, snap_path: str | None, snap_bytes: bytes | None
 ) -> dict:
-    """Worker-side fork follower: restore the group snapshot (from the
-    cache file when one exists, else from inlined bytes) and simulate
-    only this spec's measured tail."""
-    from repro.engine.snapshot import Snapshot, run_tail
-
+    """Worker side of a tail: restore the group snapshot (from the cache
+    file when one exists, else from inlined bytes) and simulate only
+    this spec's measured region."""
     data = snap_bytes if snap_bytes is not None else Path(snap_path).read_bytes()
-    snap = Snapshot.from_bytes(data)
-    return run_tail(RunSpec.from_dict(spec_dict), snap).to_dict()
+    snap = snapshot.Snapshot.from_bytes(data)
+    return snapshot.run_tail(RunSpec.from_dict(spec_dict), snap).to_dict()
 
 
-class SweepResult(dict):
-    """``RunSpec -> SimStats`` in submission order, plus hit/miss counts.
+@dataclass
+class Counters:
+    """How a batch's results were produced: the one counter record.
+
+    :class:`Engine` keeps lifetime totals in one, and a
+    :class:`SweepResult` carries their difference across its ``map``
+    call, nested router maps included.  The sweep JSON, the job counters
+    and ``/metrics`` all serialize it with :meth:`to_dict`.
+    """
+
+    n_cached: int = 0  #: served from the memo or the on-disk cache
+    n_executed: int = 0  #: simulated, forked tails included
+    n_forked: int = 0  #: restored a warm-up snapshot instead of warming
+    warmup_cycles_saved: int = 0  #: warm-up cycles those restores skipped
+    n_screened: int = 0  #: routed cells answered analytically
+    n_promoted: int = 0  #: routed cells answered by the cycle backend
+    #: event-horizon skips: fresh simulations only in the engine's totals;
+    #: every returned result, cache hits included, in a sweep's
+    ff_jumps: int = 0
+    ff_cycles_skipped: int = 0
+
+    def __add__(self, other: Counters) -> Counters:
+        return Counters(**{k: v + getattr(other, k) for k, v in vars(self).items()})
+
+    def __sub__(self, other: Counters) -> Counters:
+        return Counters(**{k: v - getattr(other, k) for k, v in vars(self).items()})
+
+    def to_dict(self) -> dict[str, int]:
+        return dict(vars(self))
+
+
+class _ReadsCounters:
+    """``obj.n_cached`` and every other counter name read ``obj.counters``."""
+
+    counters: Counters
+
+    def __getattr__(self, name: str):
+        if name in Counters.__dataclass_fields__:
+            return getattr(self.counters, name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+
+class SweepResult(dict, _ReadsCounters):
+    """``RunSpec -> SimStats`` in submission order, plus :attr:`counters`.
 
     When the batch contained grid-routing specs (the ``"hybrid"``
-    backend), ``n_cached``/``n_executed``/``n_forked`` include the
-    routed cells' underlying sub-fidelity runs — a hybrid cell costs one
-    analytic run plus, if promoted, one cycle run, so these may exceed
+    backend), the counters include the routed cells' underlying
+    sub-fidelity runs — a hybrid cell costs one analytic run plus, if
+    promoted, one cycle run, so ``n_cached + n_executed`` may exceed
     ``n_runs`` — and :attr:`router` maps each routed spec to its routing
     provenance (``fidelity``, ``reason``, the IPC interval, the error
     model's content key).
     """
 
-    def __init__(
-        self,
-        items,
-        n_cached: int = 0,
-        n_executed: int = 0,
-        n_forked: int = 0,
-        warmup_cycles_saved: int = 0,
-        n_screened: int = 0,
-        n_promoted: int = 0,
-        cycle_cells_saved: int = 0,
-    ):
+    def __init__(self, items, counters: Counters):
         super().__init__(items)
-        self.n_cached = n_cached
-        self.n_executed = n_executed
-        #: cells that restored a warm-up snapshot instead of simulating
-        #: their own warm-up region
-        self.n_forked = n_forked
-        #: simulated warm-up cycles those restores skipped, summed
-        self.warmup_cycles_saved = warmup_cycles_saved
-        #: routed cells answered analytically (with calibrated error bars)
-        self.n_screened = n_screened
-        #: routed cells promoted to — and answered by — the cycle backend
-        self.n_promoted = n_promoted
-        #: cycle runs the router avoided (== n_screened; kept as its own
-        #: counter so dashboards don't have to know the identity)
-        self.cycle_cells_saved = cycle_cells_saved
+        self.counters = replace(
+            counters,
+            ff_jumps=sum(s.ff_jumps for s in self.values()),
+            ff_cycles_skipped=sum(s.ff_cycles_skipped for s in self.values()),
+        )
         #: ``RunSpec -> provenance dict`` for routed specs (empty otherwise)
         self.router: dict[RunSpec, dict] = {}
 
@@ -158,19 +192,40 @@ class SweepResult(dict):
     def n_runs(self) -> int:
         return len(self)
 
-    # Skip-effectiveness of the event-horizon scheduler, summed over the
-    # batch (cached results included: the counters describe how the
-    # result *was produced*, whichever map call paid for it).
-    @property
-    def ff_jumps(self) -> int:
-        return sum(s.ff_jumps for s in self.values())
 
-    @property
-    def ff_cycles_skipped(self) -> int:
-        return sum(s.ff_cycles_skipped for s in self.values())
+class _Task(NamedTuple):
+    """One unit of work: ``kind`` is ``"cold"``, ``"lead"`` or ``"tail"``;
+    ``key`` is the warm-up group's warmup_key for the latter two."""
+
+    kind: str
+    spec: RunSpec
+    key: str | None = None
 
 
-class Engine:
+def _pool_worthy(task: _Task) -> bool:
+    return get_backend(task.spec.backend).process_pool_worthwhile
+
+
+def _run_here(task: _Task, snaps: dict):
+    """Run ``task`` in this process; a lead returns ``(snapshot,
+    snapshot_bytes, stats)``, the other kinds their stats."""
+    if task.kind == "cold":
+        return task.spec.execute()
+    if task.kind == "tail":
+        return snapshot.run_tail(task.spec, snaps[task.key])
+    snap, stats = _lead(task.spec)
+    return snap, snap.to_bytes(), stats
+
+
+def _decode(task: _Task, fut):
+    """A pool task's result, in the shape :func:`_run_here` returns."""
+    if task.kind == "lead":
+        data, stats = fut.result()
+        return snapshot.Snapshot.from_bytes(data), data, SimStats.from_dict(stats)
+    return SimStats.from_dict(fut.result())
+
+
+class Engine(_ReadsCounters):
     """Schedules batches of :class:`RunSpec` over workers and caches.
 
     ``workers=None`` defers to ``$REPRO_WORKERS`` / ``os.cpu_count()`` at
@@ -192,6 +247,12 @@ class Engine:
     server streams these as ``/jobs/{id}/events`` lines).  Callbacks run
     on the scheduling thread between result arrivals; a raising callback
     is swallowed, because observability must never corrupt a sweep.
+
+    :attr:`counters` holds the lifetime totals over every ``map`` call
+    (``engine.n_cached`` and the other counter names read it).  Calls to
+    ``map`` on one engine must not overlap, because each
+    :class:`SweepResult`'s counters are the difference of those totals
+    across its call; the job server gives each of its workers an engine.
     """
 
     def __init__(
@@ -206,19 +267,7 @@ class Engine:
         self.fork_warmup = fork_warmup
         self.progress = progress
         self._memo: dict[RunSpec, SimStats] = {}
-        # lifetime totals, summed over every map() call
-        self.n_cached = 0
-        self.n_executed = 0
-        self.n_forked = 0
-        self.warmup_cycles_saved = 0
-        # multi-fidelity routing totals (hybrid-backend specs only)
-        self.n_screened = 0
-        self.n_promoted = 0
-        self.cycle_cells_saved = 0
-        # event-horizon skip effectiveness, summed over fresh simulations
-        # (cache hits excluded: their skips were counted when first run)
-        self.ff_jumps = 0
-        self.ff_cycles_skipped = 0
+        self.counters = Counters()
 
     @classmethod
     def serial(cls) -> "Engine":
@@ -227,89 +276,49 @@ class Engine:
 
     def map(self, specs: Iterable[RunSpec]) -> SweepResult:
         """Run every spec; return results keyed by spec, input-ordered."""
-        ordered = list(specs)
-        unique = list(dict.fromkeys(ordered))
-        # Grid-routing backends (the multi-fidelity router) see the whole
-        # batch at once: which cells deserve cycle fidelity is a function
-        # of the grid, not of any single spec.  Routed specs bypass the
-        # memo/cache on purpose — both underlying fidelities are cached
-        # under their own keys, and re-deriving the routing from them
-        # (microseconds) is what keeps warm and cold hybrid sweeps
-        # byte-identical even when the promote budget changed in between.
-        routed = [s for s in unique if get_backend(s.backend).routes_grids]
-        direct = (
-            unique if not routed
-            else [s for s in unique if not get_backend(s.backend).routes_grids]
-        )
+        before = copy.copy(self.counters)
+        unique = list(dict.fromkeys(specs))
         done: dict[RunSpec, SimStats] = {}
+        routed: list[RunSpec] = []
         misses: list[RunSpec] = []
-        for spec in direct:
+        for spec in unique:
+            # Grid-routing backends (the multi-fidelity router) see the
+            # whole batch at once: which cells deserve cycle fidelity is a
+            # function of the grid, not of any single spec.  Routed specs
+            # bypass the memo/cache on purpose — both underlying
+            # fidelities are cached under their own keys, and re-deriving
+            # the routing from them (microseconds) is what keeps warm and
+            # cold hybrid sweeps byte-identical even when the promote
+            # budget changed in between.
+            if get_backend(spec.backend).routes_grids:
+                routed.append(spec)
+                continue
             hit = self._memo.get(spec)
             if hit is None and self.cache is not None:
                 hit = self.cache.get(spec)
                 if hit is not None:
                     self._memo[spec] = hit  # spare later maps the disk read
-            if hit is not None:
-                # hand out a copy: SimStats is mutable, and a caller
-                # touching a counter must not corrupt future hits
-                done[spec] = copy.deepcopy(hit)
-                self._emit("cached", spec)
-            else:
+            if hit is None:
                 misses.append(spec)
-
-        n_miss = len(misses)
-        n_forked = cycles_saved = 0
-        if misses and self.fork_warmup:
-            misses, n_forked, cycles_saved = self._map_forked(misses, done)
+                continue
+            # hand out a copy: SimStats is mutable, and a caller touching
+            # a counter must not corrupt future hits
+            done[spec] = copy.deepcopy(hit)
+            self.counters.n_cached += 1
+            self._emit("cached", spec)
         if misses:
-            # Backends whose per-run cost is microseconds (the analytic
-            # model) run in this process: a worker pool would spend far
-            # longer on start-up and pickling than on the runs themselves.
-            pooled = [
-                s for s in misses
-                if get_backend(s.backend).process_pool_worthwhile
-            ]
-            n_workers = min(resolve_workers(self.workers), len(pooled))
-            if n_workers > 1:
-                inline = [s for s in misses if s not in set(pooled)]
-                self._map_parallel(pooled, n_workers, done)
-            else:
-                inline = misses
-            for spec in inline:
-                done[spec] = self._record(spec, spec.execute())
-
-        n_cached = len(direct) - n_miss
-        self.n_cached += n_cached
-        self.n_executed += n_miss
-        self.n_forked += n_forked
-        self.warmup_cycles_saved += cycles_saved
-
-        routing: dict = {}
+            self._execute(misses, done)
+        router: dict[RunSpec, dict] = {}
         if routed:
-            # route_grid maps the sub-fidelity specs through *this*
-            # engine (recursive map calls), so the lifetime totals above
-            # already absorbed that work; only the routing-specific
-            # totals are new here.
+            # route_grid maps the sub-fidelity specs through this engine
+            # (nested map calls), so their work lands in self.counters
             from repro.router.hybrid import route_grid
 
-            routing = route_grid(routed, self, done)
-            self.n_screened += routing["n_screened"]
-            self.n_promoted += routing["n_promoted"]
-            self.cycle_cells_saved += routing["cycle_cells_saved"]
-
+            router = route_grid(routed, self, done)
         result = SweepResult(
-            ((spec, done[spec]) for spec in unique),
-            n_cached=n_cached + routing.get("n_cached", 0),
-            n_executed=n_miss + routing.get("n_executed", 0),
-            n_forked=n_forked + routing.get("n_forked", 0),
-            warmup_cycles_saved=(
-                cycles_saved + routing.get("warmup_cycles_saved", 0)
-            ),
-            n_screened=routing.get("n_screened", 0),
-            n_promoted=routing.get("n_promoted", 0),
-            cycle_cells_saved=routing.get("cycle_cells_saved", 0),
+            ((spec, done[spec]) for spec in unique), self.counters - before
         )
-        result.router = routing.get("provenance", {})
+        result.router = router
         return result
 
     def run(self, spec: RunSpec) -> SimStats:
@@ -318,161 +327,127 @@ class Engine:
 
     # -- internals ---------------------------------------------------------------
 
-    def _map_forked(
-        self, misses: list[RunSpec], done: dict[RunSpec, SimStats]
-    ) -> tuple[list[RunSpec], int, int]:
-        """Execute the forkable warm-up groups among ``misses``.
+    def _plan(self, misses: list[RunSpec]):
+        """Turn the batch's misses into tasks.
 
-        Returns ``(remaining_misses, n_forked, warmup_cycles_saved)`` —
-        specs that cannot fork (wrong backend, no warm-up, group too
-        small with no cached snapshot) pass through untouched for the
-        ordinary cold path.  Cells whose snapshot restore failed at the
-        last moment (a concurrently rewritten ``.snap``) are executed
-        cold by the fork paths themselves and reported as unforked.
+        Returns ``(ready, waiting, snaps)``: the tasks runnable now; the
+        tails of each group whose lead has not landed yet, by warmup_key;
+        and the group snapshots the cache already holds.
         """
-        from repro.engine.snapshot import Snapshot, SnapshotError
-
         groups: dict[str, list[RunSpec]] = {}
-        plain: list[RunSpec] = []
+        cold: list[RunSpec] = []
         for spec in misses:
             if (
-                spec.backend == "cycle"
+                self.fork_warmup
+                and spec.backend == "cycle"
                 and spec.run_kwargs()["warmup_commits"] > 0
             ):
                 groups.setdefault(spec.warmup_key(), []).append(spec)
             else:
-                plain.append(spec)
-
-        threshold = max(2, int(self.fork_warmup))
-        snaps: dict[str, Snapshot] = {}
-        warm: list[tuple[str, RunSpec]] = []   # groups needing a fresh warm-up
-        tails: list[tuple[RunSpec, str]] = []  # cells that restore a snapshot
+                cold.append(spec)
+        ready: deque[_Task] = deque()
+        waiting: dict[str, list[_Task]] = {}
+        snaps: dict = {}
         for key, members in groups.items():
-            snap = None
-            if self.cache is not None:
-                data = self.cache.get_snapshot(key)
-                if data is not None:
-                    try:
-                        snap = Snapshot.from_bytes(data)
-                    except SnapshotError:
-                        snap = None  # stale format/version: re-warm
+            data = None if self.cache is None else self.cache.get_snapshot(key)
+            try:
+                snap = snapshot.Snapshot.from_bytes(data) if data else None
+            except snapshot.SnapshotError:
+                snap = None  # stale format or corrupt header: re-warm
             if snap is not None:
                 snaps[key] = snap
-                tails.extend((s, key) for s in members)
-            elif len(members) >= threshold:
-                # the leader pays the warm-up (and runs its own tail in
-                # the same process); the rest fork from its snapshot
-                warm.append((key, members[0]))
-                tails.extend((s, key) for s in members[1:])
+                ready.extend(_Task("tail", s, key) for s in members)
+            elif len(members) >= max(2, int(self.fork_warmup)):
+                ready.append(_Task("lead", members[0], key))
+                waiting[key] = [_Task("tail", s, key) for s in members[1:]]
             else:
-                plain.extend(members)
+                cold.extend(members)
+        ready.extend(_Task("cold", s) for s in cold)
+        return ready, waiting, snaps
 
-        n_workers = min(resolve_workers(self.workers), len(warm) + len(tails))
-        if n_workers > 1:
-            unforked = self._fork_parallel(warm, tails, snaps, done, n_workers)
-        else:
-            unforked = self._fork_serial(warm, tails, snaps, done)
+    def _execute(
+        self, misses: list[RunSpec], done: dict[RunSpec, SimStats]
+    ) -> None:
+        """Run the batch's misses through the one executor loop."""
+        ready, waiting, snaps = self._plan(misses)
+        n_worthy = sum(map(_pool_worthy, ready)) + sum(
+            map(len, waiting.values())
+        )
+        n_workers = min(resolve_workers(self.workers), n_worthy)
+        pool = (
+            ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
+        )
+        running: dict = {}
 
-        forked = [(s, k) for s, k in tails if s not in unforked]
-        cycles_saved = sum(snaps[key].meta["cycle"] for _, key in forked)
-        return plain, len(forked), cycles_saved
-
-    def _save_snapshot(self, key: str, data: bytes) -> None:
-        if self.cache is not None:
-            self.cache.put_snapshot(key, data)
-
-    def _fork_serial(self, warm, tails, snaps, done) -> set[RunSpec]:
-        from repro.engine.snapshot import SnapshotError, capture_warmup, run_tail
-
-        fallback: set[RunSpec] = set()
-        for key, leader in warm:
-            snap, proc = capture_warmup(leader)
-            kwargs = leader.run_kwargs()
-            kwargs["warmup_commits"] = 0
-            done[leader] = self._record(leader, proc.run(**kwargs))
-            snaps[key] = snap
-            self._save_snapshot(key, snap.to_bytes())
-        for spec, key in tails:
+        def land(task: _Task, outcome: Callable[[], object]) -> None:
             try:
-                stats = run_tail(spec, snaps[key])
-                event = "forked"
-            except SnapshotError:
-                # a stale/foreign snapshot must not kill the sweep:
-                # this cell simply runs cold, counted as unforked
-                stats = spec.execute()
-                event = "executed"
-                fallback.add(spec)
-            done[spec] = self._record(spec, stats, event)
-        return fallback
-
-    def _fork_parallel(self, warm, tails, snaps, done, n_workers) -> set[RunSpec]:
-        from repro.engine.snapshot import Snapshot, SnapshotError
-
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            # phase 1: fresh warm-ups, one leader per group (each also
-            # produces its own cell's result)
-            futures = {
-                pool.submit(_warmup_payload, leader.to_dict()): (key, leader)
-                for key, leader in warm
-            }
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    key, leader = futures[fut]
-                    data, stats_dict = fut.result()
-                    done[leader] = self._record(
-                        leader, SimStats.from_dict(stats_dict)
-                    )
-                    snaps[key] = Snapshot.from_bytes(data)
-                    self._save_snapshot(key, data)
-            # phase 2: every other cell restores and runs only its tail;
-            # workers read the snapshot from the cache file when there is
-            # one (pickling a path beats pickling megabytes per cell)
-            futures = {}
-            for spec, key in tails:
+                result = outcome()
+            except (snapshot.SnapshotError, OSError):
+                if task.kind != "tail":
+                    raise
+                # a stale, foreign, corrupt or vanished snapshot says
+                # nothing about the cell itself: it runs cold, unforked
+                ready.append(_Task("cold", task.spec))
+                return
+            if task.kind == "lead":
+                snap, data, stats = result
+                done[task.spec] = self._record(task.spec, stats)
+                snaps[task.key] = snap
                 if self.cache is not None:
-                    ref = (str(self.cache.snapshot_path(key)), None)
-                else:
-                    ref = (None, snaps[key].to_bytes())
-                futures[
-                    pool.submit(_tail_payload, spec.to_dict(), *ref)
-                ] = spec
-            fallback: set[RunSpec] = set()
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    spec = futures[fut]
-                    try:
-                        stats = SimStats.from_dict(fut.result())
-                    except (SnapshotError, OSError):
-                        # the follower read a concurrently-rewritten,
-                        # corrupt or vanished .snap file; nothing is
-                        # wrong with the *cell*, so execute it cold
-                        # instead of killing the whole sweep, and count
-                        # it as unforked
-                        retry = pool.submit(_execute_payload, spec.to_dict())
-                        futures[retry] = spec
-                        pending.add(retry)
-                        fallback.add(spec)
-                        continue
-                    done[spec] = self._record(
-                        spec,
-                        stats,
-                        "executed" if spec in fallback else "forked",
-                    )
-        return fallback
+                    self.cache.put_snapshot(task.key, data)
+                ready.extend(waiting.pop(task.key))
+            else:
+                restored = snaps[task.key] if task.kind == "tail" else None
+                done[task.spec] = self._record(task.spec, result, restored)
 
-    def _record(
-        self, spec: RunSpec, stats: SimStats, event: str = "executed"
-    ) -> SimStats:
+        try:
+            while ready or running:
+                while ready:
+                    task = ready.popleft()
+                    if pool is not None and _pool_worthy(task):
+                        running[self._submit(pool, task, snaps)] = task
+                    else:
+                        land(task, partial(_run_here, task, snaps))
+                if running:
+                    finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                    # land every result that arrived before raising a
+                    # sibling's error (a killed worker fails them all)
+                    for fut in sorted(
+                        finished, key=lambda f: f.exception() is not None
+                    ):
+                        task = running.pop(fut)
+                        land(task, partial(_decode, task, fut))
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+
+    def _submit(self, pool: ProcessPoolExecutor, task: _Task, snaps: dict):
+        if task.kind == "cold":
+            return pool.submit(_execute_payload, task.spec.to_dict())
+        if task.kind == "lead":
+            return pool.submit(_warmup_payload, task.spec.to_dict())
+        # workers read the snapshot from its cache file when there is one
+        # (pickling a path beats pickling megabytes per cell)
+        if self.cache is not None:
+            ref = (str(self.cache.snapshot_path(task.key)), None)
+        else:
+            ref = (None, snaps[task.key].to_bytes())
+        return pool.submit(_tail_payload, task.spec.to_dict(), *ref)
+
+    def _record(self, spec: RunSpec, stats: SimStats, restored=None) -> SimStats:
+        """Land one fresh result: memo, cache write, counters, progress
+        event.  ``restored`` is the snapshot a forked tail started from."""
         self._memo[spec] = copy.deepcopy(stats)  # isolate from the caller
-        self.ff_jumps += stats.ff_jumps
-        self.ff_cycles_skipped += stats.ff_cycles_skipped
         if self.cache is not None:
             self.cache.put(spec, stats)
-        self._emit(event, spec)
+        c = self.counters
+        c.n_executed += 1
+        c.ff_jumps += stats.ff_jumps
+        c.ff_cycles_skipped += stats.ff_cycles_skipped
+        if restored is not None:
+            c.n_forked += 1
+            c.warmup_cycles_saved += restored.meta["cycle"]
+        self._emit("executed" if restored is None else "forked", spec)
         return stats
 
     def _emit(self, event: str, spec: RunSpec) -> None:
@@ -482,28 +457,6 @@ class Engine:
             self.progress(event, spec)
         except Exception:
             pass  # observability must never corrupt a sweep
-
-    def _map_parallel(
-        self,
-        misses: list[RunSpec],
-        n_workers: int,
-        done: dict[RunSpec, SimStats],
-    ) -> None:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = {
-                pool.submit(_execute_payload, spec.to_dict()): spec
-                for spec in misses
-            }
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    spec = futures[fut]
-                    # persist each result as it lands so an interrupted
-                    # sweep resumes from what already finished
-                    done[spec] = self._record(
-                        spec, SimStats.from_dict(fut.result())
-                    )
 
 
 def submit(

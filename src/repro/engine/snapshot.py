@@ -30,7 +30,9 @@ The payload is a zlib-compressed highest-protocol pickle behind a JSON
 meta header (format, spec version, capture cycle, fork key).  Snapshots
 interoperate only within one :data:`SNAPSHOT_FORMAT` /
 :data:`~repro.engine.spec.SPEC_VERSION` pair — a mismatch reads as
-:class:`SnapshotError`, which cache layers treat as a miss.
+:class:`SnapshotError`, which cache layers treat as a miss.  A payload
+that fails to decompress or unpickle raises :class:`SnapshotError` from
+:meth:`Snapshot.restore`, and the scheduler runs the cell cold.
 
 Forking (the scheduler's warmup amortization) builds on two helpers:
 :func:`capture_warmup` runs a spec's warm-up region once and snapshots at
@@ -143,7 +145,12 @@ class Snapshot:
                 f"{spec.label()!r} has {spec.warmup_key()} — the specs "
                 "diverge before the capture point"
             )
-        state = pickle.loads(zlib.decompress(self.payload))
+        try:
+            state = pickle.loads(zlib.decompress(self.payload))
+        except (zlib.error, pickle.UnpicklingError, EOFError) as exc:
+            # from_bytes validates only the header; a truncated or
+            # corrupt payload surfaces here
+            raise SnapshotError(f"corrupt snapshot payload: {exc}") from None
         if not isinstance(state, MachineState):
             raise SnapshotError(
                 f"snapshot payload is {type(state).__name__}, "

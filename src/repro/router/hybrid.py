@@ -52,33 +52,24 @@ def route_grid(
 ) -> dict:
     """Route one batch of hybrid specs; fills ``done[spec]`` per spec.
 
-    Returns the routing counters and provenance::
+    Returns each spec's routing provenance::
 
-        {"n_screened", "n_promoted", "cycle_cells_saved",
-         "n_cached", "n_executed", "n_forked", "warmup_cycles_saved",
-         "provenance": {spec: {"fidelity", "reason", "ipc_lo", "ipc_hi",
-                               "model": <error-model content key>}}}
+        {spec: {"fidelity", "reason", "ipc_lo", "ipc_hi",
+                "model": <error-model content key>}}
 
-    Specs may mix router configs (each config group is routed — and
-    budget-capped — independently); results and counters pool.
+    The sub-fidelity runs go through ``engine``'s own ``map``, and each
+    routed cell adds one ``n_screened`` or ``n_promoted`` to
+    ``engine.counters`` as its event is emitted.  Specs may mix router
+    configs (each config group is routed — and budget-capped —
+    independently); results and provenance pool.
     """
-    counts = {
-        "n_screened": 0, "n_promoted": 0, "cycle_cells_saved": 0,
-        "n_cached": 0, "n_executed": 0, "n_forked": 0,
-        "warmup_cycles_saved": 0, "provenance": {},
-    }
+    provenance: dict = {}
     groups: dict[RouterSpec, list["RunSpec"]] = {}
     for spec in specs:
         groups.setdefault(spec.router or RouterSpec(), []).append(spec)
     for rspec, members in groups.items():
-        _route_group(rspec, members, engine, done, counts)
-    return counts
-
-
-def _absorb(counts: dict, sweep) -> None:
-    for name in ("n_cached", "n_executed", "n_forked",
-                 "warmup_cycles_saved"):
-        counts[name] += getattr(sweep, name)
+        _route_group(rspec, members, engine, done, provenance)
+    return provenance
 
 
 def _route_group(
@@ -86,14 +77,13 @@ def _route_group(
     specs: list["RunSpec"],
     engine: "Engine",
     done: dict,
-    counts: dict,
+    provenance: dict,
 ) -> None:
     model = load_model(rspec.corpus, rspec.quantile)
 
     # 1-2: analytic screen + fitted interval per cell
     analytic = {spec: _retarget(spec, "analytic") for spec in specs}
     a_res = engine.map(list(analytic.values()))
-    _absorb(counts, a_res)
     cells = []
     for spec in specs:
         stats = a_res[analytic[spec]]
@@ -111,8 +101,6 @@ def _route_group(
     # machinery (pool, fork_warmup, cache); stats pass through untouched
     cycle = {spec: _retarget(spec, "cycle") for spec in promoted}
     c_res = engine.map(list(cycle.values())) if cycle else {}
-    if cycle:
-        _absorb(counts, c_res)
 
     by_cell = {cell.spec: cell for cell in cells}
     for spec in specs:
@@ -120,6 +108,7 @@ def _route_group(
         if spec in promoted:
             done[spec] = c_res[cycle[spec]]
             prov = {"fidelity": "cycle", "reason": promoted[spec]}
+            engine.counters.n_promoted += 1
             engine._emit("promoted", spec)
         else:
             # an isolated copy per hybrid cell: two router configs can
@@ -130,13 +119,11 @@ def _route_group(
             stats.ipc_lo, stats.ipc_hi = cell.lo, cell.hi
             done[spec] = stats
             prov = {"fidelity": "analytic", "reason": "screened"}
+            engine.counters.n_screened += 1
             engine._emit("screened", spec)
         prov["ipc_lo"], prov["ipc_hi"] = cell.lo, cell.hi
         prov["model"] = model.key()
-        counts["provenance"][spec] = prov
-    counts["n_promoted"] += len(promoted)
-    counts["n_screened"] += len(specs) - len(promoted)
-    counts["cycle_cells_saved"] += len(specs) - len(promoted)
+        provenance[spec] = prov
 
 
 class HybridBackend(Backend):

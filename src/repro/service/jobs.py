@@ -25,6 +25,7 @@ import time
 import uuid
 from pathlib import Path
 
+from repro.engine.scheduler import Counters
 from repro.engine.spec import RunSpec
 
 #: states a job can be observed in; terminal ones never change again
@@ -54,11 +55,9 @@ class Job:
         self.started: float | None = None
         self.finished: float | None = None
         self.error: str | None = None
-        self.counters = {
-            "n_cached": 0, "n_executed": 0, "n_forked": 0,
-            "n_coalesced": 0, "warmup_cycles_saved": 0,
-            "n_screened": 0, "n_promoted": 0, "cycle_cells_saved": 0,
-        }
+        #: the job's sweep counters plus the specs it borrowed from
+        #: identical jobs in flight
+        self.counters = {**Counters().to_dict(), "n_coalesced": 0}
         #: per-spec result entries, submission-ordered, populated on done
         self.runs: list[dict] = []
         #: append-only progress lines (the /events stream)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import time
 
+from repro.engine.scheduler import Counters
+
 
 class ServiceMetrics:
     """Mutable traffic counters plus a point-in-time aggregator."""
@@ -28,23 +30,7 @@ class ServiceMetrics:
         states: dict[str, int] = {}
         for job in jobs:
             states[job.state] = states.get(job.state, 0) + 1
-        engine_totals = {
-            "n_cached": sum(e.n_cached for e in engines),
-            "n_executed": sum(e.n_executed for e in engines),
-            "n_forked": sum(e.n_forked for e in engines),
-            "warmup_cycles_saved": sum(
-                e.warmup_cycles_saved for e in engines
-            ),
-            "n_screened": sum(e.n_screened for e in engines),
-            "n_promoted": sum(e.n_promoted for e in engines),
-            "cycle_cells_saved": sum(
-                e.cycle_cells_saved for e in engines
-            ),
-            "ff_jumps": sum(e.ff_jumps for e in engines),
-            "ff_cycles_skipped": sum(
-                e.ff_cycles_skipped for e in engines
-            ),
-        }
+        engine_totals = sum((e.counters for e in engines), Counters())
         return {
             "uptime_s": round(time.time() - self.started, 3),
             "draining": draining,
@@ -58,6 +44,6 @@ class ServiceMetrics:
             },
             "coalesced_specs": coalescer.n_coalesced,
             "inflight_specs": coalescer.n_inflight,
-            "engine": engine_totals,
+            "engine": engine_totals.to_dict(),
             "service_workers": len(engines),
         }

@@ -239,10 +239,7 @@ class SimService:
                 # the blocking engine call runs on an executor thread so
                 # the loop keeps serving requests and event streams
                 sweep = await loop.run_in_executor(None, run_map)
-                for name in ("n_cached", "n_executed", "n_forked",
-                             "warmup_cycles_saved", "n_screened",
-                             "n_promoted", "cycle_cells_saved"):
-                    job.counters[name] += getattr(sweep, name)
+                job.counters.update(sweep.counters.to_dict())
                 for spec, stats in sweep.items():
                     stats_dict = stats.to_dict()
                     results[spec.key()] = stats_dict

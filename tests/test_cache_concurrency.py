@@ -7,17 +7,20 @@ safe: entry permissions honor the umask instead of ``mkstemp``'s 0600
 (a root-owned 0600 entry reads as permission-denied, i.e. an eternal
 miss, for everyone else); orphaned ``*.tmp`` files from killed writers
 get swept; racing ``put``/``get``/``put_snapshot`` calls never observe a
-torn entry; and a fork follower that reads a concurrently-rewritten or
-corrupt ``.snap`` file falls back to a cold execute instead of killing
-the whole sweep.
+torn entry; a fork follower that reads a concurrently-rewritten,
+truncated or corrupt ``.snap`` file falls back to a cold execute instead
+of killing the whole sweep; and a pool worker killed mid-sweep fails the
+map promptly while every result that landed first stays in the cache.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import stat
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -264,3 +267,69 @@ class TestForkFollowerFallback:
         for spec in specs:
             assert results[spec].to_dict() == reference[spec].to_dict()
         assert results.n_forked == 0 and results.n_executed == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_truncated_payload_runs_cold(self, tmp_path, workers):
+        # an intact header passes the planner's check, so only restore
+        # sees the cut-short payload; it must fail as SnapshotError (not
+        # zlib.error) for the cells to run cold instead of killing the map
+        from repro.engine.snapshot import capture_warmup
+
+        specs = self._specs()
+        snap, _ = capture_warmup(specs[0])
+        cache = ResultCache(tmp_path)
+        cache.put_snapshot(specs[0].warmup_key(), snap.to_bytes()[:-200])
+        engine = Engine(workers=workers, cache=cache, fork_warmup=2)
+        results = engine.map(specs)
+        reference = Engine.serial().map(specs)
+        for spec in specs:
+            assert results[spec].to_dict() == reference[spec].to_dict()
+        assert results.n_forked == 0 and results.n_executed == 2
+
+
+class TestKilledWorker:
+    """A pool worker killed mid-sweep fails the map instead of hanging,
+    and the rerun resumes from every result that landed before it."""
+
+    def test_map_raises_and_rerun_resumes(self, tmp_path, monkeypatch):
+        specs = [tiny_spec(l2_latency=lat) for lat in (4, 8, 16, 32, 64, 128)]
+        first, victim = specs[0], specs[-1]
+        cache = ResultCache(tmp_path)
+        execute = RunSpec.execute
+
+        def execute_or_die(spec):
+            if spec == victim:
+                # die only once an earlier cell has landed, so the rerun
+                # has something to resume from; an engine that held
+                # results back would keep this worker waiting here
+                deadline = time.time() + 60
+                while first not in cache and time.time() < deadline:
+                    time.sleep(0.01)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return execute(spec)
+
+        errors: list = []
+
+        def go():
+            try:
+                Engine(workers=2, cache=ResultCache(tmp_path)).map(specs)
+            except Exception as exc:
+                errors.append(exc)
+
+        # patched before the pool starts: the forked workers inherit it
+        with monkeypatch.context() as patch:
+            patch.setattr(RunSpec, "execute", execute_or_die)
+            thread = threading.Thread(target=go, daemon=True)
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive(), "map hung on a killed worker"
+        assert len(errors) == 1 and isinstance(errors[0], BrokenProcessPool)
+
+        landed = [s for s in specs if s in cache]
+        assert first in landed and victim not in landed
+        rerun = Engine(workers=2, cache=ResultCache(tmp_path)).map(specs)
+        assert rerun.n_cached == len(landed)
+        assert rerun.n_executed == len(specs) - len(landed)
+        reference = Engine.serial().map(specs)
+        for spec in specs:
+            assert rerun[spec].to_dict() == reference[spec].to_dict()

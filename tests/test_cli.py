@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import Counters
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +100,7 @@ class TestSweepCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n_runs"] == 4
         assert doc["n_executed"] == 4
+        assert set(Counters().to_dict()) <= set(doc)  # every counter
         labels = [run["label"] for run in doc["runs"]]
         assert labels == [
             "1T L2=16 dec", "1T L2=16 non-dec",

@@ -296,7 +296,6 @@ class TestHybridRouting:
         res = Engine.serial().map(specs)
         assert res.n_screened + res.n_promoted == len(specs)
         assert res.n_promoted <= RouterSpec().promote_cap(len(specs))
-        assert res.cycle_cells_saved == res.n_screened
         screened = [s for s in specs
                     if res.router[s]["fidelity"] == "analytic"]
         assert screened
@@ -335,7 +334,6 @@ class TestHybridRouting:
         engine.map(hybrid_grid())
         assert engine.n_screened == 2 * first[0]
         assert engine.n_promoted == 2 * first[1]
-        assert engine.cycle_cells_saved == engine.n_screened
 
     def test_progress_streams_screened_and_promoted(self):
         events = []
@@ -419,7 +417,6 @@ class TestRouterCLI:
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         assert doc["n_screened"] == 4 and doc["n_promoted"] == 2
-        assert doc["cycle_cells_saved"] == 4
         fidelities = [run["router"]["fidelity"] for run in doc["runs"]]
         assert fidelities.count("cycle") == 2
         for run in doc["runs"]:
