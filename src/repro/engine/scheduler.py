@@ -303,7 +303,7 @@ class Engine(_ReadsCounters):
                 continue
             # hand out a copy: SimStats is mutable, and a caller touching
             # a counter must not corrupt future hits
-            done[spec] = copy.deepcopy(hit)
+            done[spec] = hit.copy()
             self.counters.n_cached += 1
             self._emit("cached", spec)
         if misses:
@@ -437,7 +437,7 @@ class Engine(_ReadsCounters):
     def _record(self, spec: RunSpec, stats: SimStats, restored=None) -> SimStats:
         """Land one fresh result: memo, cache write, counters, progress
         event.  ``restored`` is the snapshot a forked tail started from."""
-        self._memo[spec] = copy.deepcopy(stats)  # isolate from the caller
+        self._memo[spec] = stats.copy()  # isolate from the caller
         if self.cache is not None:
             self.cache.put(spec, stats)
         c = self.counters

@@ -33,6 +33,7 @@ import warnings
 from dataclasses import dataclass, field, fields, replace as dataclasses_replace
 from typing import Any, Iterable, Iterator
 
+from repro.memo import Memoized
 from repro.memory.spec import MemSpec
 from repro.router.spec import RouterSpec
 from repro.stats.counters import SimStats
@@ -101,8 +102,18 @@ def _scaled(n: int, scale: float) -> int:
     return max(500, int(n * scale))
 
 
+def _digest(doc: dict) -> str:
+    """sha256 prefix of a spec document's canonical JSON."""
+    payload = json.dumps(
+        {"spec_version": SPEC_VERSION, **doc},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+
+
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(Memoized):
     """One simulation, fully described. Build via :meth:`from_workload`,
     :meth:`multiprogrammed` or :meth:`single`; execute via
     :meth:`execute` (or hand a batch to the scheduler)."""
@@ -306,13 +317,13 @@ class RunSpec:
         return cls(**kw)
 
     def key(self) -> str:
-        """Stable content hash; the cache filename stem."""
-        payload = json.dumps(
-            {"spec_version": SPEC_VERSION, **self.to_dict()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+        """Stable content hash; the cache filename stem.
+
+        Computed once per object (see :mod:`repro.memo`): the canonical
+        JSON of a 4-thread spec is 18 KB, and a cold cell asks for its
+        key several times.
+        """
+        return self._memo("_key", lambda: _digest(self.to_dict()))
 
     def warmup_key(self) -> str:
         """Stable hash of everything that shapes the machine *through the
@@ -324,14 +335,12 @@ class RunSpec:
         after that boundary, so it is the only field masked out.  The
         scheduler groups sweep cells by this key, simulates the shared
         warm-up once, and forks each cell's measured tail from the
-        snapshot (see :mod:`repro.engine.snapshot`).
+        snapshot (see :mod:`repro.engine.snapshot`).  Computed once per
+        object, like :meth:`key`.
         """
-        payload = json.dumps(
-            {"spec_version": SPEC_VERSION, **self.to_dict(), "commits": None},
-            sort_keys=True,
-            separators=(",", ":"),
+        return self._memo(
+            "_warmup_key", lambda: _digest({**self.to_dict(), "commits": None})
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
     def label(self) -> str:
         """Short human-readable description for logs and JSON output."""

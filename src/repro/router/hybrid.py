@@ -26,7 +26,6 @@ byte-identical even when the promote budget changes between runs.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -80,6 +79,7 @@ def _route_group(
     provenance: dict,
 ) -> None:
     model = load_model(rspec.corpus, rspec.quantile)
+    model_key = model.key()  # re-serializes the model on every call
 
     # 1-2: analytic screen + fitted interval per cell
     analytic = {spec: _retarget(spec, "analytic") for spec in specs}
@@ -114,7 +114,7 @@ def _route_group(
             # an isolated copy per hybrid cell: two router configs can
             # screen the same analytic spec, and annotations must not
             # alias across them (or corrupt the engine's memo)
-            stats = copy.deepcopy(a_res[analytic[spec]])
+            stats = a_res[analytic[spec]].copy()
             stats.fidelity = "analytic"
             stats.ipc_lo, stats.ipc_hi = cell.lo, cell.hi
             done[spec] = stats
@@ -122,7 +122,7 @@ def _route_group(
             engine.counters.n_screened += 1
             engine._emit("screened", spec)
         prov["ipc_lo"], prov["ipc_hi"] = cell.lo, cell.hi
-        prov["model"] = model.key()
+        prov["model"] = model_key
         provenance[spec] = prov
 
 

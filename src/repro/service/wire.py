@@ -6,10 +6,12 @@ A job submission is JSON with either one spec or a batch::
     {"specs": [{...}, {...}], "label": "latency sweep"}
 
 ``RunSpec`` is already frozen, hashable and JSON-round-trippable — the
-spec *is* the wire format, so the service validates by simply parsing
-through :meth:`RunSpec.from_dict` and resolving the backend name.  A bad
-body raises :class:`WireError`, which the server maps to a 400 instead
-of letting a malformed job fail asynchronously after it was accepted.
+spec *is* the wire format, so the service validates by parsing through
+:meth:`RunSpec.from_dict`, hashing the spec, building its machine config
+and resolving the backend name.  A bad body — including config
+overrides that are unhashable or name no config field — raises
+:class:`WireError`, which the server maps to a 400 instead of letting a
+malformed job fail asynchronously after it was accepted.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ def parse_job_request(body: bytes) -> JobRequest:
             raise WireError(f"spec[{i}] must be an object")
         try:
             spec = RunSpec.from_dict(d)
+            # what every job does first: hash the spec (engine dicts) and
+            # build its machine (unknown or unhashable config overrides)
+            hash(spec)
+            spec.machine_config()
         except Exception as exc:
             raise WireError(f"spec[{i}] is not a valid RunSpec: {exc}") from None
         try:

@@ -37,6 +37,8 @@ from __future__ import annotations
 import difflib
 from dataclasses import asdict, dataclass, fields, replace
 
+from repro.memo import Memoized
+
 KB = 1024
 MB = 1024 * KB
 
@@ -48,7 +50,7 @@ def did_you_mean(name: str, candidates) -> str:
 
 
 @dataclass(frozen=True)
-class BenchProfile:
+class BenchProfile(Memoized):
     """Parameter set for the synthetic kernel generator.
 
     Attributes are grouped by the behaviour they control; see module
@@ -127,8 +129,13 @@ class BenchProfile:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        """JSON-safe field mapping; round-trips via :meth:`from_dict`."""
-        return asdict(self)
+        """JSON-safe field mapping; round-trips via :meth:`from_dict`.
+
+        Built once per profile: profiles are frozen, hold only scalars
+        and are shared through the registry (a 4-thread rotation spec
+        has 40 entries over 10 profiles).  Each call gets its own copy.
+        """
+        return dict(self._memo("_dict", lambda: asdict(self)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchProfile":

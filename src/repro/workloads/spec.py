@@ -23,7 +23,8 @@ collide in the result cache) and it crosses process boundaries without
 the worker having to replay registrations.
 
 Identity: ``WorkloadSpec`` is a frozen dataclass (structural ``==`` /
-``hash``, which is what keys the characterization-walk cache) and
+``hash``, which is what keys the characterization-walk cache; the hash
+is computed once per object, see :mod:`repro.memo`) and
 :meth:`key` is a stable sha256 over the canonical JSON form — the part of
 :meth:`~repro.engine.spec.RunSpec.key` that addresses the result cache,
 identical across processes and interpreter runs.
@@ -42,9 +43,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable
 
+from repro.memo import Memoized
 from repro.workloads.profiles import (
     BENCH_ORDER,
     BenchProfile,
@@ -193,7 +195,7 @@ class WorkloadEntry:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Memoized):
     """Per-thread playlists, frozen and content-addressable.
 
     ``threads[t]`` is the ordered tuple of entries context ``t`` executes
@@ -284,6 +286,15 @@ class WorkloadSpec:
         )
 
     # -- identity --------------------------------------------------------------
+
+    def __hash__(self) -> int:
+        """Structural, like the generated hash, but computed once per
+        object: a 4-thread rotation walks 40 entries of 25 profile
+        fields, and the engine's dicts, the charwalk cache and the
+        router's groups hash each spec several times per cell."""
+        return self._memo("_hash", lambda: hash(
+            tuple(getattr(self, f.name) for f in fields(self))
+        ))
 
     def to_dict(self) -> dict:
         """JSON-safe, registry-independent representation."""

@@ -1,6 +1,7 @@
 """Experiment engine: spec hashing, sweeps, cache, scheduler (tiny budgets)."""
 
 import copy
+import dataclasses
 import json
 import os
 import re
@@ -437,15 +438,57 @@ class TestSkipEffectivenessSurfacing:
 
 
 class TestDeepCopySafety:
+    @staticmethod
+    def _mutate(stats):
+        """Touch every container field, nested rows included."""
+        stats.slot_counts[0][0] += 1
+        stats.committed_per_thread[99] = 1
+        stats.level_stats["L2"]["hits"] += 1
+        stats.level_stats["L9"] = {}
+        stats.committed += 7
+
     def test_caller_mutation_cannot_corrupt_memo(self):
         # the engine hands out independent objects: mutating a returned
         # result (even nested fields) must not poison later hits
         engine = Engine.serial()
         a = engine.run(tiny_spec())
+        assert a.level_stats["L2"]  # the nested rows below exist
         pristine = copy.deepcopy(a)
-        a.slot_counts[0][0] += 1
-        a.committed_per_thread[99] = 1
-        a.committed += 7
+        self._mutate(a)
         again = engine.run(tiny_spec())
         assert again == pristine
         assert again != a
+        self._mutate(again)  # a memo hit's copy is just as isolated
+        assert engine.run(tiny_spec()) == pristine
+
+    def test_caller_mutation_cannot_corrupt_a_disk_hit(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        pristine = Engine(workers=1, cache=cache).run(tiny_spec())
+        engine = Engine(workers=1, cache=cache)
+        a = engine.run(tiny_spec())
+        assert engine.n_cached == 1 and engine.n_executed == 0
+        assert a == pristine
+        self._mutate(a)
+        assert engine.run(tiny_spec()) == pristine
+        assert Engine(workers=1, cache=cache).run(tiny_spec()) == pristine
+
+    def test_copy_shares_no_container(self):
+        # walks every field, so a container field added later cannot be
+        # shared between a result and its copy without failing here
+        def containers(value):
+            """Every list, dict and set reachable from ``value``."""
+            if isinstance(value, (list, dict, set)):
+                yield value
+                for v in value.values() if isinstance(value, dict) else value:
+                    yield from containers(v)
+
+        stats = Engine.serial().run(tiny_spec())
+        dup = stats.copy()
+        assert dup == stats and dup is not stats
+        walked = 0
+        for f in dataclasses.fields(stats):
+            mine = list(containers(getattr(stats, f.name)))
+            theirs = {id(c) for c in containers(getattr(dup, f.name))}
+            assert not {id(c) for c in mine} & theirs, f.name
+            walked += len(mine)
+        assert walked >= 6  # the three fields, their rows and level rows

@@ -86,6 +86,15 @@ class TestWire:
         with pytest.raises(WireError, match="quantum"):
             parse_job_request(json.dumps({"spec": doc}).encode())
 
+    @pytest.mark.parametrize(
+        "overrides", [{"mshrs": [1, 2]}, {"no_such_field": 3}],
+        ids=["unhashable", "unknown_field"],
+    )
+    def test_rejects_specs_that_cannot_run(self, overrides):
+        doc = {**fast_spec().to_dict(), "config_overrides": overrides}
+        with pytest.raises(WireError, match=r"spec\[0\]"):
+            parse_job_request(json.dumps({"specs": [doc]}).encode())
+
     def test_rejects_non_string_label(self):
         body = json.dumps({"spec": fast_spec().to_dict(), "label": 7})
         with pytest.raises(WireError, match="label"):
@@ -275,6 +284,22 @@ class TestHTTP:
         assert status == 400
         assert "at least one spec" in doc["error"]
         assert service.metrics.jobs_submitted == 0
+
+    @pytest.mark.parametrize(
+        "overrides", [{"mshrs": [1, 2]}, {"no_such_field": 3}],
+        ids=["unhashable", "unknown_field"],
+    )
+    def test_unrunnable_spec_is_400_not_a_queued_job(self, service, overrides):
+        # accepted, such a job could only fail later, inside the worker
+        doc = {**fast_spec().to_dict(), "config_overrides": overrides}
+        status, reply = _request(service, "POST", "/jobs", {"spec": doc})
+        assert status == 400
+        assert "spec[0]" in reply["error"]
+        assert service.metrics.jobs_submitted == 0
+        _, listing = _request(service, "GET", "/jobs")
+        assert listing["jobs"] == []
+        _, metrics = _request(service, "GET", "/metrics")
+        assert metrics["queue_depth"] == 0
 
     def test_unknown_job_is_404(self, service):
         status, doc = _request(service, "GET", "/jobs/deadbeef")
