@@ -79,7 +79,7 @@ def _route_group(
     provenance: dict,
 ) -> None:
     model = load_model(rspec.corpus, rspec.quantile)
-    model_key = model.key()  # re-serializes the model on every call
+    model_key = model.key()  # serializes the whole model: once per group
 
     # 1-2: analytic screen + fitted interval per cell
     analytic = {spec: _retarget(spec, "analytic") for spec in specs}

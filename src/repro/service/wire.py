@@ -65,8 +65,8 @@ def parse_job_request(body: bytes) -> JobRequest:
             raise WireError(f"spec[{i}] must be an object")
         try:
             spec = RunSpec.from_dict(d)
-            # what every job does first: hash the spec (engine dicts) and
-            # build its machine (unknown or unhashable config overrides)
+            # a job's first steps: an override that is unhashable or
+            # names no config field fails one of them, so fail it here
             hash(spec)
             spec.machine_config()
         except Exception as exc:

@@ -96,7 +96,7 @@ def test_pinned_keys(name):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_replace_gets_its_own_identity(name):
     spec = build(name)
-    spec.key(), spec.warmup_key(), hash(spec)
+    spec.key(), spec.warmup_key(), hash(spec)  # fill every memo first
     moved = dataclasses.replace(spec, seed=spec.seed + 1)
     fresh = RunSpec.from_dict({**spec.to_dict(), "seed": spec.seed + 1})
     assert moved == fresh and hash(moved) == hash(fresh)
