@@ -19,12 +19,11 @@ What is *not* serialized, and why that is safe:
 * **Wrong-path pools** — a pure function of the per-thread seed
   (:class:`~repro.workloads.wrongpath.WrongPathGenerator` rebuilds them
   lazily); only the cyclic-stream cursor is state.
-* **Fast-path closures** — the spec-specialized ``load``/``store``
-  installed by :mod:`repro.memory.fastpath` capture live arrays and
-  cannot cross a pickle; the facade drops them and re-specializes over
-  the restored arrays, so a snapshot even restores correctly *across*
-  ``REPRO_GENERIC_MEM`` settings (the two paths are bit-identical by
-  contract).
+* **Accessor wrappers** — a profiler may shadow the memory system's
+  ``load``/``store`` with instance-level closures (perfbench's tracer
+  does), and a closure cannot cross a pickle;
+  ``MemorySystem.__getstate__`` drops them, so the restored machine runs
+  the class methods the wrappers called.
 
 The payload is a zlib-compressed highest-protocol pickle behind a JSON
 meta header (format, spec version, capture cycle, fork key).  Snapshots

@@ -30,6 +30,8 @@ can retry next cycle.
 
 from __future__ import annotations
 
+from heapq import heappop
+
 from repro.memory.interconnect import build_interconnect
 from repro.memory.levels import (
     CONFLICT,
@@ -110,7 +112,7 @@ class MemorySystem:
     arbitration and traffic stats, composed from a :class:`MemSpec`."""
 
     def __init__(self, spec: MemSpec, n_threads: int = 1,
-                 line_bytes: int = 32, specialize: bool = True):
+                 line_bytes: int = 32):
         if not spec.resolved:
             raise ValueError(
                 "MemorySystem needs a resolved MemSpec "
@@ -148,38 +150,18 @@ class MemorySystem:
         self.prefetch_fills = 0
         self.prefetch_hits = 0
         self.prefetch_dropped = 0
-        # Spec-specialized hot path: when the composed shape is the flat
-        # classic one, instance-level load/store closures shadow the
-        # generic methods below (which remain the differential reference
-        # and the fallback for exotic stacks).
-        self.specialized = False
-        self._specialize = specialize
-        if specialize:
-            from repro.memory.fastpath import build_fastpath
-
-            fast = build_fastpath(self)
-            if fast is not None:
-                self.load, self.store = fast
-                self.specialized = True
 
     # -- snapshot support --------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Drop the instance-level ``load``/``store`` closures (functions
-        capturing live cache arrays cannot cross a pickle); everything
-        they capture *is* pickled, so ``__setstate__`` rebuilds them."""
+        """Drop instance-level ``load``/``store`` attributes. A profiler
+        may shadow the methods with wrapper closures (perfbench's tracer
+        does), and a closure cannot cross a pickle; the restored machine
+        runs the class methods, which is what the wrappers called."""
         state = self.__dict__.copy()
         state.pop("load", None)
         state.pop("store", None)
-        state["specialized"] = False
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if state.get("_specialize", True):
-            from repro.memory.fastpath import respecialize
-
-            respecialize(self)
 
     @classmethod
     def classic(
@@ -243,10 +225,11 @@ class MemorySystem:
         drain (monotonically, and draining here is the same lazy drain
         the walk's own ``available(now)`` would perform), and the first
         blocked level of the outer plan stays the first blocked level
-        until its own earliest release.  This method works identically
-        under the spec-specialized fast path: the closures share the same
-        L1 arrays and MSHR files.  Tick-driven prefetchers are excluded
-        wholesale by :attr:`fast_forward_safe`.
+        until its own earliest release.  It classifies with
+        :meth:`L1Cache.probe` and the same drain-then-check order as
+        :meth:`_access`, so the two cannot disagree on a refusal.
+        Tick-driven prefetchers are excluded wholesale by
+        :attr:`fast_forward_safe`.
         """
         l1 = self._l1_for(tid)
         outcome, _idx, when = l1.probe(addr, now)
@@ -386,22 +369,47 @@ class MemorySystem:
 
     # -- accesses ---------------------------------------------------------------
 
-    def _note_prefetch_hit(self, l1: L1Cache, idx: int) -> None:
-        if l1.prefetched[idx]:
-            self.prefetch_hits += 1
-            l1.prefetched[idx] = 0
-
-    def _demand_miss(
-        self, l1: L1Cache, addr: int, now: int, tid: int, make_dirty: bool
+    def _access(
+        self, addr: int, now: int, tid: int, make_dirty: bool
     ) -> tuple[int, int]:
-        """The shared miss-path tail of :meth:`load` and :meth:`store`:
-        check every MSHR file the fill needs (refuse without touching
-        anything), then commit."""
-        if not self.mshrs.available(now):
-            self.mshrs.note_failure()
+        """One demand access, shared by :meth:`load` and :meth:`store`.
+
+        The L1 probe (as :meth:`L1Cache.probe`) and the level-0 MSHR
+        check (with the lazy drain of :meth:`MSHRFile.available`) run
+        inline: hits and refusals are most accesses. A primary miss then
+        checks every MSHR file its fill needs — each missed outer level's
+        file is drained before the first blocked one is charged — and
+        refuses without touching anything, or commits the fill.
+        """
+        l1s = self._l1s
+        l1 = l1s[0] if len(l1s) == 1 else l1s[tid % len(l1s)]
+        line = addr >> self._line_shift
+        idx = line & l1._set_mask
+        pend = l1.pending[idx]
+        if l1.tags[idx] == line:
+            # a hit, or a merge into the line's in-flight fill
+            if make_dirty:
+                l1.dirty[idx] = 1
+            if l1.prefetched[idx]:
+                self.prefetch_hits += 1
+                l1.prefetched[idx] = 0
+            if pend > now:
+                return S_SECONDARY, pend
+            return S_HIT, now + self.hit_latency
+        if pend > now:                      # set pinned by another fill
             self.blocked_requests += 1
-            return S_BLOCKED, 0
-        plan = self._plan_outer(self._line_of_addr(addr), tid)
+            return S_BLOCKED, pend
+        mshrs = self.mshrs
+        if mshrs.count is not None:
+            releases = mshrs._releases
+            while releases and releases[0] <= now:
+                heappop(releases)
+                mshrs.in_use -= 1
+            if mshrs.in_use >= mshrs.count:
+                mshrs.alloc_failures += 1
+                self.blocked_requests += 1
+                return S_BLOCKED, 0
+        plan = self._plan_outer(line, tid)
         blocked = [lvl for lvl in plan[2] if not lvl.mshrs.available(now)]
         if blocked:
             blocked[0].mshrs.note_failure()
@@ -419,40 +427,16 @@ class MemorySystem:
         access could not even start (retry next cycle; no state was
         changed).
         """
-        l1 = self._l1_for(tid)
-        outcome, idx, when = l1.probe(addr, now)
-        if outcome == HIT:
-            self._note_prefetch_hit(l1, idx)
-            return S_HIT, now + self.hit_latency
-        if outcome == SECONDARY:
-            self._note_prefetch_hit(l1, idx)
-            return S_SECONDARY, when
-        if outcome == CONFLICT:
-            self.blocked_requests += 1
-            return S_BLOCKED, when
-        return self._demand_miss(l1, addr, now, tid, make_dirty=False)
+        return self._access(addr, now, tid, False)
 
     def store(self, addr: int, now: int, tid: int = 0) -> tuple[int, int]:
         """Perform a write access (write-back, write-allocate).
 
         Returns ``(status, write_done_cycle)``; on a miss the write
-        completes with the fill, at which point the line is dirty.
+        completes with the fill, at which point the line is dirty. A
+        write that merges into an in-flight fill dirties the line too.
         """
-        l1 = self._l1_for(tid)
-        outcome, idx, when = l1.probe(addr, now)
-        if outcome == HIT:
-            self._note_prefetch_hit(l1, idx)
-            l1.touch_write(addr)
-            return S_HIT, now + self.hit_latency
-        if outcome == SECONDARY:
-            # the write merges with the in-flight fill and dirties the line
-            self._note_prefetch_hit(l1, idx)
-            l1.touch_write(addr)
-            return S_SECONDARY, when
-        if outcome == CONFLICT:
-            self.blocked_requests += 1
-            return S_BLOCKED, when
-        return self._demand_miss(l1, addr, now, tid, make_dirty=True)
+        return self._access(addr, now, tid, True)
 
     # -- stats -------------------------------------------------------------------
 

@@ -67,7 +67,9 @@ class L1Cache:
 
         Returns ``(outcome, set_index, ready_cycle)``; ``ready_cycle`` is
         meaningful for ``SECONDARY`` (the in-flight fill completion) and
-        for ``CONFLICT`` (when the set unpins).
+        for ``CONFLICT`` (when the set unpins). The demand path,
+        ``MemorySystem._access``, inlines this classification, so the
+        two must change together.
         """
         line = addr >> self._line_shift
         idx = line & self._set_mask
@@ -244,7 +246,9 @@ class MSHRFile:
             self.in_use -= 1
 
     def available(self, now: int) -> bool:
-        """True when at least one MSHR is free at cycle ``now``."""
+        """True when at least one MSHR is free at cycle ``now``.
+        ``MemorySystem._access`` inlines this (drain included) for the
+        level-0 file, so the two must change together."""
         if self.count is None:
             return True
         self._drain(now)

@@ -28,14 +28,12 @@ stream with all other work amortized into numpy).
 WorkloadCharacter` **equal** to the interpreted walk's — enforced by
 ``tests/test_charwalk_np.py`` across the workload grid.  Geometries the
 closed forms do not model (finite or partitioned outer levels, any
-prefetcher) and numpy-free installs fall back to the interpreter; set
-``REPRO_NO_NUMPY=1`` to force the fallback everywhere (CI's no-numpy job
-proves tier-1 passes that way).
+prefetcher) and numpy-free installs fall back to the interpreter (CI's
+no-numpy job uninstalls numpy and proves tier-1 passes that way).
 """
 
 from __future__ import annotations
 
-import os
 from weakref import WeakKeyDictionary
 
 try:
@@ -63,7 +61,7 @@ _STORE_I, _STORE_F, _BRANCH, _ITOF, _FTOI = 4, 5, 6, 7, 8
 
 def eligible(geometry) -> bool:
     """True when the vectorized walk models this geometry exactly."""
-    if np is None or os.environ.get("REPRO_NO_NUMPY"):
+    if np is None:
         return False
     if geometry.prefetch.kind != "none":
         return False  # prefetch decisions depend on the miss *sequence*

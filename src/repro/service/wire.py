@@ -7,11 +7,12 @@ A job submission is JSON with either one spec or a batch::
 
 ``RunSpec`` is already frozen, hashable and JSON-round-trippable — the
 spec *is* the wire format, so the service validates by parsing through
-:meth:`RunSpec.from_dict`, hashing the spec, building its machine config
-and resolving the backend name.  A bad body — including config
-overrides that are unhashable or name no config field — raises
-:class:`WireError`, which the server maps to a 400 instead of letting a
-malformed job fail asynchronously after it was accepted.
+:meth:`RunSpec.from_dict`, hashing the spec, resolving its memory
+hierarchy (which builds its machine config) and resolving the backend
+name.  A bad body — including config overrides that are unhashable,
+name no config field or describe a hierarchy that cannot be built —
+raises :class:`WireError`, which the server maps to a 400 instead of
+letting a malformed job fail asynchronously after it was accepted.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ def parse_job_request(body: bytes) -> JobRequest:
             raise WireError(f"spec[{i}] must be an object")
         try:
             spec = RunSpec.from_dict(d)
-            # a job's first steps: an override that is unhashable or
-            # names no config field fails one of them, so fail it here
+            # a job's first steps: an override that is unhashable, names
+            # no config field or builds no memory hierarchy fails one of
+            # them, so fail it here
             hash(spec)
-            spec.machine_config()
+            spec.machine_config().memory()
         except Exception as exc:
             raise WireError(f"spec[{i}] is not a valid RunSpec: {exc}") from None
         try:

@@ -5,7 +5,7 @@ with closed-form array operations; the two must produce **equal**
 :class:`~repro.model.charwalk.WorkloadCharacter` objects — every count,
 every reuse bucket — on every geometry the vectorized path claims.
 Geometries it cannot model (finite/partitioned outer levels, prefetchers)
-and ``REPRO_NO_NUMPY=1`` must select the interpreter.
+and a missing numpy must select the interpreter.
 """
 
 from dataclasses import fields
@@ -22,21 +22,14 @@ from repro.model.charwalk import _characterize, character_key  # noqa: E402
 from repro.workloads.spec import workload_preset  # noqa: E402
 
 
-@pytest.fixture(autouse=True)
-def _numpy_enabled(monkeypatch):
-    """These tests exercise the vectorized path on purpose — neutralize
-    an ambient REPRO_NO_NUMPY (e.g. CI's fallback-paths job)."""
-    monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-
-
 def both_walks(spec, monkeypatch):
     """(interpreted, vectorized) characters of one run spec."""
     proc, _ = spec.instantiate()
     key = character_key(spec, proc.cfg)
     vec = _characterize.__wrapped__(key)
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    pure = _characterize.__wrapped__(key)
-    monkeypatch.delenv("REPRO_NO_NUMPY")
+    with monkeypatch.context() as m:
+        m.setattr(charwalk_np, "np", None)
+        pure = _characterize.__wrapped__(key)
     return pure, vec
 
 
@@ -53,9 +46,9 @@ class TestEligibility:
         geo = mem_preset(preset).resolve(MachineConfig()).geometry()
         assert charwalk_np.eligible(geo) is False
 
-    def test_no_numpy_env_falls_back(self, monkeypatch):
+    def test_missing_numpy_falls_back(self, monkeypatch):
         geo = mem_preset("classic").resolve(MachineConfig()).geometry()
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        monkeypatch.setattr(charwalk_np, "np", None)
         assert charwalk_np.eligible(geo) is False
 
 

@@ -189,8 +189,8 @@ class TestPartialIdleWindows:
 class TestRandomizedPartialIdle:
     """Seeded-random partial-idle scenarios over exotic hierarchies: a
     finite banked L2, a stream prefetcher, split per-thread L1 slices and
-    mixed decoupled/unified machines (run in CI also under
-    ``REPRO_GENERIC_MEM=1`` and without numpy — the fallback-paths job)."""
+    mixed decoupled/unified machines (run in CI also without numpy — the
+    fallback-paths job)."""
 
     @pytest.mark.parametrize("draw", [0, 1, 2, 3])
     def test_bit_identical(self, draw):

@@ -87,8 +87,10 @@ class TestWire:
             parse_job_request(json.dumps({"spec": doc}).encode())
 
     @pytest.mark.parametrize(
-        "overrides", [{"mshrs": [1, 2]}, {"no_such_field": 3}],
-        ids=["unhashable", "unknown_field"],
+        "overrides",
+        [{"mshrs": [1, 2]}, {"no_such_field": 3}, {"l1_bytes": 3000},
+         {"mshrs": 0}],
+        ids=["unhashable", "unknown_field", "l1_bytes", "mshrs"],
     )
     def test_rejects_specs_that_cannot_run(self, overrides):
         doc = {**fast_spec().to_dict(), "config_overrides": overrides}
@@ -286,8 +288,10 @@ class TestHTTP:
         assert service.metrics.jobs_submitted == 0
 
     @pytest.mark.parametrize(
-        "overrides", [{"mshrs": [1, 2]}, {"no_such_field": 3}],
-        ids=["unhashable", "unknown_field"],
+        "overrides",
+        [{"mshrs": [1, 2]}, {"no_such_field": 3}, {"l1_bytes": 3000},
+         {"mshrs": 0}],
+        ids=["unhashable", "unknown_field", "l1_bytes", "mshrs"],
     )
     def test_unrunnable_spec_is_400_not_a_queued_job(self, service, overrides):
         # accepted, such a job could only fail later, inside the worker

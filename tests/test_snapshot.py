@@ -10,13 +10,13 @@ fast-forward: exact equality of ``SimStats.to_dict()`` plus the strictly
 stronger ``MachineState.fingerprint()`` (queues, rename files, cache tag
 arrays, MSHR occupancy, event heap, RNG cursors — everything).
 
-Coverage deliberately includes the shapes the memory fast path declines —
-finite banked L2, a stream prefetcher, per-thread split L1 — because
-those run the generic interpreter, whose per-level state (tag/LRU/dirty
-lists, bank queues, prefetch tables) must survive the pickle too.  A
-cross-``REPRO_GENERIC_MEM`` test pins the subtlest contract: a snapshot
-captured with the specialized closures installed restores onto the
-generic path (and vice versa) with identical results.
+Coverage deliberately includes shapes beyond the classic machine —
+finite banked L2, a stream prefetcher, per-thread split L1 — whose
+per-level state (tag/LRU/dirty lists, bank queues, prefetch tables) must
+survive the pickle too.  A wrapped-accessor test pins the memory
+system's own pickling contract: a profiler's instance-level
+``load``/``store`` wrappers are dropped at capture, and the restored
+machine still finishes exactly like a cold run.
 """
 
 from __future__ import annotations
@@ -116,16 +116,15 @@ class TestRandomizedConfigs:
 
 
 class TestExoticShapes:
-    """Shapes the memory fast path declines: the *generic* interpreter's
-    per-level state must survive the pickle byte-for-byte."""
+    """Shapes beyond the classic machine: their per-level state must
+    survive the pickle byte-for-byte."""
 
     def test_finite_banked_l2(self):
         spec = RunSpec.multiprogrammed(
             2, l2_latency=64,
             mem=mem_preset("l2_small").override("L2.banks", 2), **_BUDGET,
         )
-        proc = assert_bit_identical(spec)
-        assert not proc.mem.specialized  # really on the generic path
+        assert_bit_identical(spec)
 
     def test_stream_prefetcher(self):
         spec = RunSpec.single(
@@ -133,7 +132,6 @@ class TestExoticShapes:
             mem=mem_preset("stream"),
         )
         proc = assert_bit_identical(spec)
-        assert not proc.mem.specialized
         assert proc.mem.prefetch_fills > 0  # the prefetcher really ran
 
     def test_split_per_thread_l1(self):
@@ -143,7 +141,6 @@ class TestExoticShapes:
             **_BUDGET,
         )
         proc = assert_bit_identical(spec)
-        assert not proc.mem.specialized
         assert len(proc.mem._l1s) == 2
 
     def test_prefetch_on_finite_l2(self):
@@ -153,46 +150,39 @@ class TestExoticShapes:
             mem=mem_preset("l2_small").override("prefetch_kind", "nextline"),
             **_BUDGET,
         )
-        proc = assert_bit_identical(spec)
-        assert not proc.mem.specialized
+        assert_bit_identical(spec)
 
 
-class TestCrossModeRestore:
-    """Snapshots restore across ``REPRO_GENERIC_MEM`` settings — legal
-    because the fast and generic paths are bit-identical by contract."""
+class TestWrappedAccessors:
+    """A profiler may shadow ``mem.load``/``store`` with instance-level
+    wrappers (perfbench's tracer does).  Closures cannot cross a pickle,
+    so ``MemorySystem.__getstate__`` drops them; the restored machine
+    runs the class methods and must finish exactly like a cold run."""
 
-    def _spec(self):
-        return RunSpec.multiprogrammed(2, l2_latency=64, **_BUDGET)
-
-    def test_fast_capture_generic_restore(self, monkeypatch):
-        spec = self._spec()
-        monkeypatch.delenv("REPRO_GENERIC_MEM", raising=False)
+    def test_capture_restore_with_wrapped_accessors(self):
+        spec = RunSpec.multiprogrammed(2, l2_latency=64, **_BUDGET)
         proc_cold, stats_cold = run_cold(spec)
-        assert proc_cold.mem.specialized
-        snap, _ = capture_warmup(spec)
-        monkeypatch.setenv("REPRO_GENERIC_MEM", "1")
-        proc = Snapshot.from_bytes(snap.to_bytes()).restore(spec)
-        assert not proc.mem.specialized  # restored onto the generic path
-        kw = spec.run_kwargs()
-        kw["warmup_commits"] = 0
-        stats = proc.run(**kw)
-        assert stats.to_dict() == stats_cold.to_dict()
-        assert proc.state.fingerprint() == proc_cold.state.fingerprint()
+        proc, kw = spec.instantiate()
+        calls = []
 
-    def test_generic_capture_fast_restore(self, monkeypatch):
-        spec = self._spec()
-        monkeypatch.setenv("REPRO_GENERIC_MEM", "1")
-        proc_cold, stats_cold = run_cold(spec)
-        assert not proc_cold.mem.specialized
-        snap, _ = capture_warmup(spec)
-        monkeypatch.delenv("REPRO_GENERIC_MEM")
-        proc = Snapshot.from_bytes(snap.to_bytes()).restore(spec)
-        assert proc.mem.specialized  # re-specialized over restored arrays
-        kw = spec.run_kwargs()
+        def passthrough(method):
+            def wrapper(addr, now, tid=0):
+                calls.append(addr)
+                return method(addr, now, tid)
+            return wrapper
+
+        proc.mem.load = passthrough(proc.mem.load)
+        proc.mem.store = passthrough(proc.mem.store)
+        proc.run(max_commits=kw["warmup_commits"], max_cycles=None)
+        proc.reset_stats()
+        assert calls  # the warm-up really ran through the wrappers
+        snap = Snapshot.capture(proc, spec=spec)
+        restored = Snapshot.from_bytes(snap.to_bytes()).restore(spec)
+        assert "load" not in vars(restored.mem)
         kw["warmup_commits"] = 0
-        stats = proc.run(**kw)
+        stats = restored.run(**kw)
         assert stats.to_dict() == stats_cold.to_dict()
-        assert proc.state.fingerprint() == proc_cold.state.fingerprint()
+        assert restored.state.fingerprint() == proc_cold.state.fingerprint()
 
 
 class TestMidRegionCapture:
