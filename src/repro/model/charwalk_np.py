@@ -29,7 +29,8 @@ WorkloadCharacter` **equal** to the interpreted walk's — enforced by
 ``tests/test_charwalk_np.py`` across the workload grid.  Geometries the
 closed forms do not model (finite or partitioned outer levels, any
 prefetcher) and numpy-free installs fall back to the interpreter (CI's
-no-numpy job uninstalls numpy and proves tier-1 passes that way).
+no-numpy job installs the repo without numpy and proves tier-1 passes
+that way).
 """
 
 from __future__ import annotations
