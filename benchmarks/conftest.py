@@ -2,8 +2,8 @@
 
 Each benchmark regenerates one paper figure's data series and prints the
 same rows the paper reports. Simulation budgets honour ``REPRO_SCALE``
-(default here: 0.25 for a quick sweep; set ``REPRO_SCALE=1`` to reproduce
-the full EXPERIMENTS.md numbers).
+(default here: 0.25 for a quick sweep; set ``REPRO_SCALE=1`` for the
+paper's full budgets).
 
 Figures run through the same :class:`repro.engine.Engine` code path the
 CLI uses — parallel across ``REPRO_WORKERS`` (default: all cores) but

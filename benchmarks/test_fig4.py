@@ -25,8 +25,7 @@ def test_fig4(once, engine):
 
     # 4-b: the latency-tolerance gap at L2 = 32. (The paper reports <4 %
     # vs >23 %; at reduced REPRO_SCALE budgets cold-start effects widen the
-    # decoupled band, so the assertion checks the *gap*, and EXPERIMENTS.md
-    # records the full-budget numbers.)
+    # decoupled band, so the assertion checks the *gap*.)
     worst_dec = max(loss(True, nt, 32) for nt in data["threads"])
     best_non = min(loss(False, nt, 32) for nt in data["threads"])
     assert worst_dec < 0.30

@@ -36,7 +36,6 @@ def test_fig5(once, engine):
     assert s64_non[16]["bus"] > 0.85
 
     # decoupling reaches roughly non-dec-12T-level performance with ~3
-    # threads (paper: parity; full-budget measured ratio is 0.90 — see
-    # EXPERIMENTS.md; the reduced-budget band here is wider)
+    # threads (paper: parity; the reduced-budget band here is wider)
     assert s64_dec[3]["ipc"] > 0.75 * s64_non[12]["ipc"]
     assert s64_dec[4]["ipc"] > 0.9 * s64_non[12]["ipc"]

@@ -19,10 +19,6 @@ Subcommands:
   backend over the Figure-4 grid; non-zero exit above the IPC tolerance.
 * ``golden`` — verify (or ``--refresh``) the golden-stats regression
   corpus under ``tests/golden/``.
-* ``perf`` — measure *simulator* performance (simulated cycles/s and
-  committed instructions/s) on pinned workloads, report the idle-cycle
-  fast-forward speedup on the headline workload, write a ``BENCH_*.json``
-  document and optionally gate against a committed baseline.
 * ``serve`` — run the simulation-as-a-service job server: ``POST /jobs``
   accepts RunSpec JSON (one spec or a batch), a worker pool executes
   through the engine + shared result cache, concurrent identical
@@ -65,14 +61,13 @@ from repro.experiments.ablations import ABLATIONS
 from repro.experiments.figures import FIGURES, LATENCIES
 from repro.experiments import conformance as conf_mod
 from repro.experiments import golden as golden_mod
-from repro.experiments import perf as perf_mod
 from repro.memory.spec import (
     mem_preset,
     mem_preset_names,
     mem_preset_provenance,
     resolve_memspec,
 )
-from repro.stats.report import format_perf, format_run, format_table
+from repro.stats.report import format_run, format_table
 from repro.workloads.profiles import (
     get_profile,
     load_profiles,
@@ -421,34 +416,6 @@ def _deadlock_overrides(args) -> dict:
     if getattr(args, "deadlock_cycles", None) is not None:
         return {"deadlock_cycles": args.deadlock_cycles}
     return {}
-
-
-def _cmd_perf(args) -> int:
-    doc = perf_mod.run_perf(
-        quick=args.quick,
-        reps=args.reps,
-        profile=args.profile,
-        progress=lambda msg: print(f"[perf] {msg}", file=sys.stderr),
-    )
-    print(format_perf(doc))
-    if args.output:
-        perf_mod.write_doc(doc, args.output)
-        print(f"\n[wrote {args.output}]", file=sys.stderr)
-    if args.check:
-        baseline = perf_mod.load_doc(args.check)
-        failures = perf_mod.check_regression(
-            doc, baseline, tolerance=args.tolerance,
-            ratios_only=args.ratios_only,
-        )
-        if failures:
-            print(
-                f"\nPERF REGRESSION vs {args.check}:", file=sys.stderr
-            )
-            for f in failures:
-                print(f"  - {f}", file=sys.stderr)
-            return 1
-        print(f"\n[no regression vs {args.check}]", file=sys.stderr)
-    return 0
 
 
 def _fit_report(cells: list[dict], quantile: float) -> int:
@@ -1082,57 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="error-bar quantile the model is fitted for (default: 0.95)",
     )
     p.set_defaults(func=_cmd_conformance)
-
-    p = sub.add_parser(
-        "perf",
-        help="measure simulator performance on pinned workloads",
-        description=(
-            "Measure simulated-cycles-per-second and committed-instructions-"
-            "per-second on a pinned workload set (always simulated: no "
-            "result cache, serial, REPRO_SCALE ignored), report the "
-            "idle-cycle fast-forward speedup on the headline 1-thread "
-            "L2=256 fig1 workload, and optionally write the JSON document "
-            "and gate against a committed baseline."
-        ),
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="halved budgets (CI smoke mode)",
-    )
-    p.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the perf JSON document here (e.g. BENCH_PR2.json)",
-    )
-    p.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="compare against a baseline perf JSON; non-zero exit on "
-             "regression beyond --tolerance",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=0.30, metavar="FRAC",
-        help="allowed fractional throughput/speedup drop vs the baseline "
-             "(default: 0.30)",
-    )
-    p.add_argument(
-        "--ratios-only", action="store_true",
-        help="with --check: compare only machine-independent ratios "
-             "(per-workload cycles/s normalized by the run's geometric "
-             "mean, fast-forward speedup, bit-identity) — use when the "
-             "baseline was recorded on different hardware (CI does)",
-    )
-    p.add_argument(
-        "--reps", type=int, default=3, metavar="N",
-        help="measure each workload N times and keep the best wall time "
-             "(default: 3; simulations are deterministic, so the fastest "
-             "run is the least-noise estimate)",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="also cProfile each workload once (separately from the "
-             "timed runs) and embed the top hot-spot report in the "
-             "document — CI uploads it as the perf-smoke artifact",
-    )
-    p.set_defaults(func=_cmd_perf)
 
     p = sub.add_parser(
         "serve",

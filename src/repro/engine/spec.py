@@ -37,6 +37,7 @@ from repro.memo import Memoized
 from repro.memory.spec import MemSpec
 from repro.router.spec import RouterSpec
 from repro.stats.counters import SimStats
+from repro.workloads.profiles import check_scalars, scalar_checks
 from repro.workloads.spec import (
     COMMITS_PER_THREAD,
     SEG_INSTRS,
@@ -266,6 +267,7 @@ class RunSpec(Memoized):
                 f"router must be a RouterSpec or None, got "
                 f"{type(self.router).__name__}"
             )
+        check_scalars(self, _CHECKS)
 
     # -- identity ----------------------------------------------------------------
 
@@ -401,9 +403,10 @@ class RunSpec(Memoized):
         """Build the configured machine and its run budgets.
 
         Returns ``(processor, run_kwargs)`` so callers that need the
-        machine itself — the perf harness times ``proc.run(**kwargs)`` in
-        isolation, with workload construction excluded — share one
-        spec-to-machine translation with :meth:`execute`.
+        machine itself — warm-up capture for forked sweeps, perfbench's
+        ``kernel`` workload, which times ``proc.run(**kwargs)`` with
+        workload construction excluded — share one spec-to-machine
+        translation with :meth:`execute`.
         """
         # imported here so the spec layer stays importable without pulling
         # the whole pipeline in (and to keep worker start-up lazy)
@@ -426,6 +429,14 @@ class RunSpec(Memoized):
         from repro.engine.backends import get_backend
 
         return get_backend(self.backend).run(self)
+
+
+#: a string seed would fail inside the job, and ``decoupled: "no"`` would
+#: run decoupled under a cache key of its own
+_CHECKS = scalar_checks(RunSpec, {
+    "l2_latency", "decoupled", "scale_with_latency", "seed", "commits",
+    "warmup", "scale",
+})
 
 
 def _as_axis(value) -> tuple:

@@ -1,77 +1,20 @@
-"""Simulator performance benchmark harness (``repro-sim perf``).
+"""The pinned kernel workload set that the repo benchmark reads.
 
-Measures how fast the *simulator* runs — simulated cycles per second and
-committed instructions per second — on a pinned set of workloads chosen to
-cover the engine room's distinct regimes, and records the results as a
-``BENCH_*.json`` document that seeds the repo's performance trajectory
-(one committed baseline per PR that touches the hot path; currently
-``benchmarks/perf/BENCH_PR2.json``).
-
-The headline workload is the paper's Figure-1 ``su2cor`` point at 1 thread
-and L2 = 256 — the canonical "decoupling degraded, machine mostly idle"
-case the event-horizon fast-forward targets.  For that workload the
-harness runs the simulation twice, with fast-forward enabled and with the
-plain cycle-by-cycle walk, and reports the wall-clock speedup (the two are
-bit-identical in every architectural statistic, so this is a pure
-performance comparison).
-
-Schema of the emitted document (``schema`` = ``repro-perf/1``)::
-
-    {
-      "schema": "repro-perf/1",
-      "quick": false,                  # --quick budgets?
-      "workloads": {
-        "<name>": {
-          "label":  "...",             # human-readable spec label
-          "wall_s": 1.23,              # run() wall clock, fast-forward on
-          "cycles": 456789,            # simulated cycles (measured region)
-          "committed": 30000,          # committed instructions
-          "cycles_per_s": 370000.0,    # simulation throughput
-          "commits_per_s": 24000.0,
-          "ff_jumps": 1500,            # fast-forward diagnostics
-          "ff_cycles_skipped": 110000
-        }, ...
-      },
-      "headline": {
-        "workload": "fig1_su2cor_1T_L2=256",
-        "wall_s_fast_forward": 0.45,
-        "wall_s_stepping": 0.95,
-        "speedup": 2.1,               # stepping / fast-forward
-        "bit_identical": true         # SimStats.comparable_dict() equality
-      },
-      "forked_sweep": {               # checkpoint/forked-sweep benchmark
-        "n_cells": 4,                 # warm-dominated grid size
-        "wall_s_cold": 3.2,           # every cell simulates its warm-up
-        "wall_s_forked": 1.1,         # one warm-up + snapshot fan-out
-        "speedup": 2.9,               # cold / forked
-        "n_forked": 3,                # cells that restored the snapshot
-        "warmup_cycles_saved": 2.1e6,
-        "identical": true             # forked == cold, per cell, exactly
-      }
-    }
-
-Regression checking (CI's perf-smoke job) compares throughput per
-workload and the headline speedup against a baseline document and fails
-on a drop larger than the tolerance (default 30 %).  Only ratios of the
-same machine are meaningful; absolute throughputs move with hardware.
+``perfbench``'s ``kernel`` workload runs ``perf_specs(quick=True)``
+serially, with no engine or cache, and keys its per-spec layer metrics
+and its recorded result digests by these names (see
+``perfbench/README.md``).  The set covers the cycle kernel's distinct
+regimes: idle-heavy, busy, issue-bound, non-decoupled, memory-bound and
+MSHR-refused.
 """
 
 from __future__ import annotations
 
-import cProfile
-import io
-import json
-import math
-import pstats
-import time
-
 from repro.engine.spec import RunSpec
-from repro.stats.counters import SimStats
 from repro.workloads.spec import workload_preset
 
-SCHEMA = "repro-perf/1"
-
-#: the headline workload name (fast-forward speedup is measured on it)
+#: the Figure-1 headline workload: one thread at L2 = 256, machine idle
+#: most cycles (decoupling degraded)
 HEADLINE = "fig1_su2cor_1T_L2=256"
 
 
@@ -127,348 +70,3 @@ def perf_specs(quick: bool = False) -> dict[str, RunSpec]:
             commits_per_thread=s(10_000), warmup_per_thread=s(5_000),
         ),
     }
-
-
-def measure(
-    spec: RunSpec, fast_forward: bool = True, repeats: int = 1
-) -> tuple[SimStats, dict]:
-    """Run one spec, timing the *measured region* only.
-
-    Warm-up is simulated first, untimed; ``reset_stats()`` zeroes the
-    fast-forward diagnostics with the statistics, so every reported
-    number — wall clock, cycles, commits, throughput, skip counts —
-    describes the same region. Workload construction and machine setup
-    are likewise excluded.  ``repeats`` re-runs the whole measurement and
-    keeps the *minimum* wall clock (simulations are deterministic, so the
-    fastest run is the least-noise estimate of the same work); used for
-    the headline speedup, which CI gates on.
-    Returns ``(stats, measurement_dict)``.
-    """
-    wall = worst = None
-    for _ in range(max(1, repeats)):
-        proc, run_kwargs = spec.instantiate()
-        warmup = run_kwargs.pop("warmup_commits", 0)
-        if warmup:
-            proc.run(max_commits=warmup, max_cycles=None,
-                     fast_forward=fast_forward)
-            proc.reset_stats()
-        t0 = time.perf_counter()
-        stats = proc.run(fast_forward=fast_forward, **run_kwargs)
-        elapsed = time.perf_counter() - t0
-        if wall is None or elapsed < wall:
-            wall = elapsed
-        if worst is None or elapsed > worst:
-            worst = elapsed
-    return stats, {
-        "label": spec.label(),
-        "wall_s": round(wall, 4),
-        # best-to-worst scatter across the repeats: a noisy-machine
-        # indicator (the run_perf caller warns above 10%)
-        "wall_s_spread": round((worst - wall) / wall, 3) if wall > 0 else 0.0,
-        "cycles": stats.cycles,
-        "committed": stats.committed,
-        "cycles_per_s": round(stats.cycles / wall, 1) if wall > 0 else 0.0,
-        "commits_per_s": round(stats.committed / wall, 1) if wall > 0 else 0.0,
-        "ff_jumps": proc.ff_jumps,
-        "ff_cycles_skipped": proc.ff_cycles_skipped,
-    }
-
-
-def profile_workload(spec: RunSpec, top_n: int = 15) -> list[str]:
-    """One cProfile'd run of ``spec``'s measured region; returns the
-    ``tottime``-sorted top-``top_n`` report lines followed by a per-stage
-    tick-time breakdown (cumulative seconds and share per pipeline
-    stage), so a regression names the stage, not just the workload.
-
-    Run *separately* from :func:`measure` — the profiler's tracing
-    overhead would distort every wall-clock number it shared a run with.
-    """
-    proc, run_kwargs = spec.instantiate()
-    warmup = run_kwargs.pop("warmup_commits", 0)
-    if warmup:
-        proc.run(max_commits=warmup, max_cycles=None)
-        proc.reset_stats()
-    profiler = cProfile.Profile()
-    profiler.enable()
-    proc.run(**run_kwargs)
-    profiler.disable()
-    buf = io.StringIO()
-    ps = pstats.Stats(profiler, stream=buf)
-    ps.sort_stats("tottime").print_stats(top_n)
-    # keep the header + table rows, drop pstats' leading blank chatter
-    lines = [ln.rstrip() for ln in buf.getvalue().splitlines()]
-    out = [ln for ln in lines if ln][:top_n + 6]
-    # per-stage breakdown: each stage's tick is its own code object, so
-    # the raw pstats table (keyed by filename/lineno/name) resolves the
-    # bound methods the run loop actually called back to stage names
-    tick_of = {}
-    for stage in proc.stages:
-        code = stage.tick.__func__.__code__
-        tick_of[(code.co_filename, code.co_firstlineno, code.co_name)] = (
-            stage.name
-        )
-    rows = []
-    total = 0.0
-    for key, (_cc, nc, _tt, ct, _callers) in ps.stats.items():
-        name = tick_of.get(key)
-        if name is not None:
-            rows.append((ct, nc, name))
-            total += ct
-    if rows:
-        rows.sort(reverse=True)
-        out.append("per-stage tick time (cumulative):")
-        for ct, nc, name in rows:
-            share = ct / total if total else 0.0
-            out.append(
-                f"  {name:<16} {ct:8.3f}s  {share * 100:5.1f}%  "
-                f"({nc:,} ticks)"
-            )
-    return out
-
-
-#: measured-commit budgets (pre-scale, per cell) of the forked-sweep grid
-FORKED_COMMITS_AXIS = (1000, 1500, 2000, 2500)
-
-
-def forked_sweep_specs(quick: bool = False) -> list[RunSpec]:
-    """The forked-sweep benchmark grid: the fig1 headline regime
-    (``su2cor`` at 1 thread, L2 = 256, resources scaled with latency)
-    with a long shared warm-up and a small measured-budget axis.
-
-    Warm-up dominates every cell, so the grid is the best case the
-    ``fork_warmup`` scheduler path was built for — and the honest one:
-    it is exactly the "re-sweep the measured budget over an
-    already-characterized warm prefix" pattern of real use.  The
-    workload pins ``seg_instrs`` explicitly because ``RunSpec.single``
-    derives it from ``commits``, which would leak the measured budget
-    into the warm-up prefix and break the sharing.
-    """
-    from repro.workloads.spec import WorkloadSpec
-
-    f = 0.5 if quick else 1.0
-    s = lambda n: max(500, int(n * f))  # noqa: E731 - tiny local helper
-    wl = WorkloadSpec.single("su2cor", seg_instrs=20_000)
-    return [
-        RunSpec.from_workload(
-            wl, l2_latency=256, scale_with_latency=True, scale=1.0,
-            commits=s(c), warmup=s(20_000),
-        )
-        for c in FORKED_COMMITS_AXIS
-    ]
-
-
-def measure_forked_sweep(quick: bool = False, repeats: int = 1) -> dict:
-    """Time the forked-sweep grid cold vs forked; returns the
-    ``forked_sweep`` document section.
-
-    Both passes run serially on a **fresh**, cache-less engine each
-    repeat (the in-memory memo would otherwise serve the second repeat
-    for free), so the comparison isolates exactly one variable: each
-    cell simulating its own warm-up vs restoring the group snapshot.
-    Per-cell results must be byte-identical — ``identical`` is part of
-    the document and CI fails on ``false``.
-    """
-    from repro.engine.scheduler import Engine
-
-    specs = forked_sweep_specs(quick=quick)
-    cold_wall = forked_wall = None
-    identical = True
-    n_forked = cycles_saved = 0
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        cold = Engine(workers=1).map(specs)
-        elapsed = time.perf_counter() - t0
-        if cold_wall is None or elapsed < cold_wall:
-            cold_wall = elapsed
-        t0 = time.perf_counter()
-        forked = Engine(workers=1, fork_warmup=2).map(specs)
-        elapsed = time.perf_counter() - t0
-        if forked_wall is None or elapsed < forked_wall:
-            forked_wall = elapsed
-        n_forked = forked.n_forked
-        cycles_saved = forked.warmup_cycles_saved
-        identical = identical and all(
-            forked[s].to_dict() == cold[s].to_dict() for s in specs
-        )
-    return {
-        "n_cells": len(specs),
-        "labels": [s.label() for s in specs],
-        "wall_s_cold": round(cold_wall, 4),
-        "wall_s_forked": round(forked_wall, 4),
-        "speedup": (
-            round(cold_wall / forked_wall, 2) if forked_wall > 0 else 0.0
-        ),
-        "n_forked": n_forked,
-        "warmup_cycles_saved": cycles_saved,
-        "identical": identical,
-    }
-
-
-def run_perf(
-    quick: bool = False, progress=None, reps: int = 3,
-    profile: bool = False, profile_top: int = 15,
-) -> dict:
-    """Measure the pinned workload set; returns the perf document.
-
-    Every workload (and the headline's per-cycle stepping run) is
-    measured ``reps`` times keeping the best wall clock, so committed
-    baselines and the ``--check`` gate aren't single-sample noisy.  With
-    ``profile=True`` each workload also gets one separate cProfile'd run
-    whose top-``profile_top`` report lands in the document (CI uploads it
-    as the perf-smoke artifact, so a regression comes with the profile
-    that explains it).
-    """
-    say = progress or (lambda msg: None)
-    doc: dict = {
-        "schema": SCHEMA, "quick": quick, "reps": reps, "workloads": {},
-    }
-    specs = perf_specs(quick=quick)
-    for name, spec in specs.items():
-        stats, m = measure(spec, fast_forward=True, repeats=reps)
-        doc["workloads"][name] = m
-        say(f"{name}: {m['cycles_per_s']:,.0f} cycles/s "
-            f"({m['wall_s']:.2f}s wall)")
-        if reps > 1 and m["wall_s_spread"] > 0.10:
-            say(f"WARNING {name}: best-of-{reps} wall times spread "
-                f"{m['wall_s_spread'] * 100:.0f}% (>10%) — the machine "
-                "looks noisy; treat throughput figures with suspicion")
-        if profile:
-            m["profile"] = profile_workload(spec, top_n=profile_top)
-            say(f"{name}: profiled ({len(m['profile'])} report lines)")
-        if name == HEADLINE:
-            step_stats, step_m = measure(spec, fast_forward=False,
-                                         repeats=reps)
-            speedup = (
-                step_m["wall_s"] / m["wall_s"] if m["wall_s"] > 0 else 0.0
-            )
-            doc["headline"] = {
-                "workload": name,
-                "wall_s_fast_forward": m["wall_s"],
-                "wall_s_stepping": step_m["wall_s"],
-                "speedup": round(speedup, 2),
-                # architectural counters only: the scheduler's own
-                # ff_jumps/ff_cycles_skipped differ between modes by design
-                "bit_identical": (
-                    stats.comparable_dict() == step_stats.comparable_dict()
-                ),
-            }
-            say(f"{name}: fast-forward speedup {speedup:.2f}x "
-                f"(bit-identical: {doc['headline']['bit_identical']})")
-    fs = measure_forked_sweep(quick=quick, repeats=min(reps, 2))
-    doc["forked_sweep"] = fs
-    say(f"forked sweep ({fs['n_cells']} cells): {fs['speedup']:.2f}x vs "
-        f"cold ({fs['wall_s_cold']:.2f}s -> {fs['wall_s_forked']:.2f}s, "
-        f"identical: {fs['identical']})")
-    return doc
-
-
-def check_regression(
-    doc: dict, baseline: dict, tolerance: float = 0.30,
-    ratios_only: bool = False,
-) -> list[str]:
-    """Compare a perf document against a baseline.
-
-    Returns a list of failure strings (empty = pass).  Checks, per
-    workload present in both documents, that simulation throughput did not
-    drop by more than ``tolerance``; that the headline speedup did not
-    either; and that the headline runs stayed bit-identical.  Every
-    failure names the offending workload and the tolerance it broke.
-
-    ``ratios_only`` replaces the absolute-throughput comparison with a
-    machine-independent one: each workload's cycles/s *normalized by the
-    document's own geometric mean* is compared against the baseline's
-    normalized figure.  A uniform hardware-speed difference cancels out
-    of the normalization, while one workload regressing against the
-    others (a facade-layer slowdown, a lost specialization) still fails —
-    CI gates against the committed baseline this way.
-    """
-    failures: list[str] = []
-    if bool(doc.get("quick")) != bool(baseline.get("quick")):
-        # budget skew alone moves every metric; like-for-like or nothing
-        return [
-            "budget-mode mismatch: document is "
-            f"{'quick' if doc.get('quick') else 'full'} but baseline is "
-            f"{'quick' if baseline.get('quick') else 'full'} — gate a "
-            "--quick run against a quick baseline (and vice versa)"
-        ]
-    floor = 1.0 - tolerance
-    base_workloads = baseline.get("workloads", {})
-    rates = {
-        name: m.get("cycles_per_s") or 0.0
-        for name, m in doc.get("workloads", {}).items()
-    }
-    base_rates = {
-        name: (base_workloads.get(name) or {}).get("cycles_per_s") or 0.0
-        for name in rates
-    }
-    common = [n for n in rates if rates[n] > 0 and base_rates[n] > 0]
-    if ratios_only:
-        # normalize each workload by its own document's geometric mean;
-        # needs >= 2 workloads for the normalization to mean anything
-        if len(common) >= 2:
-            gm = math.exp(
-                sum(math.log(rates[n]) for n in common) / len(common)
-            )
-            base_gm = math.exp(
-                sum(math.log(base_rates[n]) for n in common) / len(common)
-            )
-            for name in common:
-                rel = rates[name] / gm
-                base_rel = base_rates[name] / base_gm
-                if rel < base_rel * floor:
-                    failures.append(
-                        f"{name}: normalized throughput {rel:.3f} is "
-                        f"{(1 - rel / base_rel) * 100:.0f}% below baseline "
-                        f"{base_rel:.3f} (tolerance {tolerance * 100:.0f}%, "
-                        "ratios-only: cycles/s relative to the run's own "
-                        "geometric mean)"
-                    )
-    else:
-        for name in common:
-            rate, base_rate = rates[name], base_rates[name]
-            if rate < base_rate * floor:
-                failures.append(
-                    f"{name}: {rate:,.0f} cycles/s is "
-                    f"{(1 - rate / base_rate) * 100:.0f}% below baseline "
-                    f"{base_rate:,.0f} (tolerance {tolerance * 100:.0f}%)"
-                )
-    head = doc.get("headline") or {}
-    base_head = baseline.get("headline") or {}
-    if not head.get("bit_identical", True):
-        failures.append(
-            "headline: fast-forward statistics diverged from per-cycle "
-            "stepping (bit_identical=false)"
-        )
-    base_speedup = base_head.get("speedup") or 0.0
-    speedup = head.get("speedup") or 0.0
-    if base_speedup > 0 and speedup < base_speedup * floor:
-        failures.append(
-            f"headline speedup {speedup:.2f}x is more than "
-            f"{tolerance * 100:.0f}% below baseline {base_speedup:.2f}x"
-        )
-    fs = doc.get("forked_sweep") or {}
-    base_fs = baseline.get("forked_sweep") or {}
-    if fs and not fs.get("identical", True):
-        failures.append(
-            "forked sweep: per-cell results diverged from cold runs "
-            "(identical=false) — the snapshot restore is not bit-exact"
-        )
-    base_fs_speedup = base_fs.get("speedup") or 0.0
-    fs_speedup = fs.get("speedup") or 0.0
-    if base_fs_speedup > 0 and fs_speedup < base_fs_speedup * floor:
-        failures.append(
-            f"forked-sweep speedup {fs_speedup:.2f}x is more than "
-            f"{tolerance * 100:.0f}% below baseline {base_fs_speedup:.2f}x"
-        )
-    return failures
-
-
-def write_doc(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_doc(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

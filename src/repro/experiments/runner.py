@@ -8,9 +8,9 @@ Figure/ablation drivers no longer call these directly — they build a
 remain for tests, examples and the ``run``/``bench`` CLI commands.
 
 Instruction budgets scale with ``REPRO_SCALE`` (a float environment
-variable, default 1.0, captured into the spec at build time) so the
-benchmark harness can run quick smoke sweeps while the full harness
-reproduces the numbers recorded in EXPERIMENTS.md.
+variable, default 1.0, captured into the spec at build time), so tests
+and the figure benchmarks run quick reduced-budget sweeps while the
+default runs the paper's full budgets.
 """
 
 from __future__ import annotations

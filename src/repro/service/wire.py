@@ -10,9 +10,13 @@ spec *is* the wire format, so the service validates by parsing through
 :meth:`RunSpec.from_dict`, hashing the spec, resolving its memory
 hierarchy (which builds its machine config) and resolving the backend
 name.  A bad body — including config overrides that are unhashable,
-name no config field or describe a hierarchy that cannot be built —
-raises :class:`WireError`, which the server maps to a 400 instead of
-letting a malformed job fail asynchronously after it was accepted.
+name no config field or describe a hierarchy that cannot be built,
+scalars or profile fields of the wrong type or out of synthesis range,
+and a router corpus other than ``"default"`` — raises
+:class:`WireError`, which the server maps to a 400 instead of letting a
+malformed job fail asynchronously after it was accepted.  The corpus is
+a path the worker would read whole, so a client may not choose it; the
+CLI's ``--router-corpus`` still reads local files.
 """
 
 from __future__ import annotations
@@ -73,6 +77,11 @@ def parse_job_request(body: bytes) -> JobRequest:
             spec.machine_config().memory()
         except Exception as exc:
             raise WireError(f"spec[{i}] is not a valid RunSpec: {exc}") from None
+        if spec.router is not None and spec.router.corpus != "default":
+            raise WireError(
+                f'spec[{i}]: router.corpus must be "default" over the wire, '
+                f"got {spec.router.corpus!r}"
+            )
         try:
             get_backend(spec.backend)
         except KeyError as exc:

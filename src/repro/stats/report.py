@@ -67,53 +67,6 @@ def format_run(stats: SimStats, label: str = "") -> str:
     return "\n".join(lines)
 
 
-def format_perf(doc: dict) -> str:
-    """Render a ``repro-perf/1`` document (see ``experiments/perf.py``)."""
-    rows = [
-        [
-            name,
-            m["wall_s"],
-            m["cycles"],
-            m["cycles_per_s"],
-            m["commits_per_s"],
-            m["ff_cycles_skipped"],
-        ]
-        for name, m in sorted(doc.get("workloads", {}).items())
-    ]
-    title = "Simulator performance" + (" (--quick budgets)" if doc.get("quick") else "")
-    out = [
-        format_table(
-            ["workload", "wall s", "sim cycles", "cycles/s", "commits/s",
-             "ff skipped"],
-            rows,
-            title,
-        )
-    ]
-    head = doc.get("headline")
-    if head:
-        out.append(
-            f"headline {head['workload']}: fast-forward "
-            f"{head['wall_s_fast_forward']:.2f}s vs per-cycle stepping "
-            f"{head['wall_s_stepping']:.2f}s -> speedup {head['speedup']:.2f}x "
-            f"(stats bit-identical: {head['bit_identical']})"
-        )
-    fs = doc.get("forked_sweep")
-    if fs:
-        out.append(
-            f"forked sweep ({fs['n_cells']} warm-dominated cells): cold "
-            f"{fs['wall_s_cold']:.2f}s vs forked {fs['wall_s_forked']:.2f}s "
-            f"-> speedup {fs['speedup']:.2f}x, {fs['n_forked']} cells "
-            f"forked, {fs['warmup_cycles_saved']} warm-up cycles saved "
-            f"(per-cell results identical: {fs['identical']})"
-        )
-    for name, m in sorted(doc.get("workloads", {}).items()):
-        if m.get("profile"):
-            out.append(
-                f"profile: {name}\n" + "\n".join(m["profile"])
-            )
-    return "\n\n".join(out)
-
-
 def format_table(
     headers: list[str],
     rows: list[list],

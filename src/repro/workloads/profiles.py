@@ -35,6 +35,7 @@ Every registered profile records its *provenance* (``built-in``,
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from repro.memo import Memoized
@@ -47,6 +48,41 @@ def did_you_mean(name: str, candidates) -> str:
     """``" — did you mean 'x'?"`` for the closest candidate, or ``""``."""
     close = difflib.get_close_matches(str(name), list(candidates), n=1)
     return f" — did you mean {close[0]!r}?" if close else ""
+
+
+#: the value types each annotated scalar type accepts, and its name in
+#: errors: a bool is not a number, and a number is not a bool
+_ACCEPTS = {
+    "int": ((int,), "an int"),
+    "float": ((int, float), "a finite number"),
+    "bool": ((bool,), "a bool"),
+    "str": ((str,), "a string"),
+}
+
+
+def scalar_checks(cls, names=None) -> tuple:
+    """The type checks of a dataclass's fields (all of them, or those in
+    ``names``), read from their annotations: ``int``, ``float``,
+    ``bool`` or ``str``, optionally ``| None``."""
+    return tuple(
+        (f.name, *_ACCEPTS[kind], optional == "None")
+        for f in fields(cls) if names is None or f.name in names
+        for kind, _, optional in [f.type.partition(" | ")]
+    )
+
+
+def check_scalars(obj, checks: tuple) -> None:
+    """Raise :class:`ValueError` for the first field of ``obj`` that
+    fails its check from :func:`scalar_checks`."""
+    for name, types, what, nullable in checks:
+        value = getattr(obj, name)
+        if type(value) in types:
+            if type(value) is not float or math.isfinite(value):
+                continue
+        elif nullable and value is None:
+            continue
+        null = " or null" if nullable else ""
+        raise ValueError(f"{name} must be {what}{null}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +148,22 @@ class BenchProfile(Memoized):
     #: ITOF moves per instruction (AP feeds EP scalars; behaves like a load)
     itof_rate: float = 0.004
 
+    def __post_init__(self):
+        try:
+            check_scalars(self, _CHECKS)
+        except ValueError as exc:
+            raise ValueError(f"profile {self.name!r}: {exc}") from None
+        try:
+            self.name.encode("utf-8")  # synthesis seeds its RNG from it
+        except UnicodeEncodeError:
+            raise ValueError(f"profile name {self.name!r} is not UTF-8") from None
+        for key, low in _SYNTH_MINIMA.items():
+            if getattr(self, key) < low:
+                raise ValueError(
+                    f"profile {self.name!r}: {key} must be >= {low}, "
+                    f"got {getattr(self, key)}"
+                )
+
     def with_overrides(self, **kwargs) -> "BenchProfile":
         """Return a copy with selected fields replaced.
 
@@ -155,7 +207,7 @@ class BenchProfile(Memoized):
                     "own 'name'"
                 )
             name = d.pop("name")
-            return base.with_overrides(**d).with_overrides(name=name)
+            return base.with_overrides(**d, name=name)
         known = {f.name for f in fields(cls)}
         for key in d:
             if key not in known:
@@ -163,6 +215,18 @@ class BenchProfile(Memoized):
                     f"unknown profile field {key!r}{did_you_mean(key, known)}"
                 )
         return cls(**d)
+
+
+_CHECKS = scalar_checks(BenchProfile)
+
+#: the smallest value of each field that synthesis can build a loop body
+#: from: at least one load, one iteration, one FP chain and one byte in
+#: each address window (``index_dist`` sizes a ring of ``index_dist + 1``)
+_SYNTH_MINIMA = {
+    "unroll": 1, "n_streams": 1, "iters": 1, "index_every": 1,
+    "n_chains": 1, "index_dist": 0, "ws_bytes": 1, "hot_bytes": 1,
+    "store_ws_bytes": 1, "gather_ws_bytes": 1,
+}
 
 
 def _p(name: str, **kwargs) -> BenchProfile:

@@ -219,90 +219,6 @@ class TestSnapshotFlags:
         assert "cycle backend" in capsys.readouterr().err
 
 
-class TestPerfCommand:
-    @pytest.fixture
-    def tiny_workloads(self, monkeypatch):
-        """Shrink the pinned perf set so the CLI path stays test-fast."""
-        from repro.engine import RunSpec
-        import repro.experiments.perf as perf_mod
-
-        def tiny(quick=False):
-            return {
-                perf_mod.HEADLINE: RunSpec.single(
-                    "su2cor", l2_latency=64, scale=1.0,
-                    commits=800, warmup=200,
-                ),
-                "fig3_1T_L2=16": RunSpec.multiprogrammed(
-                    1, l2_latency=16, scale=1.0, seg_instrs=4000,
-                    commits_per_thread=800, warmup_per_thread=200,
-                ),
-            }
-
-        def tiny_forked(quick=False):
-            return [
-                RunSpec.multiprogrammed(
-                    1, l2_latency=16, scale=1.0, seg_instrs=3000,
-                    commits_per_thread=c, warmup_per_thread=500,
-                )
-                for c in (600, 900)
-            ]
-
-        monkeypatch.setattr(perf_mod, "perf_specs", tiny)
-        monkeypatch.setattr(perf_mod, "forked_sweep_specs", tiny_forked)
-
-    def test_perf_writes_schema_document(self, tiny_workloads, tmp_path,
-                                         capsys):
-        out = tmp_path / "perf.json"
-        assert main(["perf", "--quick", "--output", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro-perf/1"
-        assert doc["quick"] is True
-        for m in doc["workloads"].values():
-            assert m["cycles_per_s"] > 0
-            assert m["commits_per_s"] > 0
-        head = doc["headline"]
-        assert head["bit_identical"] is True
-        assert head["speedup"] > 0
-        fs = doc["forked_sweep"]
-        assert fs["identical"] is True
-        assert fs["n_forked"] == 1 and fs["n_cells"] == 2
-        out = capsys.readouterr().out
-        assert "cycles/s" in out
-        assert "forked sweep" in out
-
-    def test_perf_check_passes_against_itself(self, tiny_workloads,
-                                              tmp_path, capsys):
-        base = tmp_path / "base.json"
-        assert main(["perf", "--output", str(base)]) == 0
-        capsys.readouterr()
-        # wide tolerance: the tiny fixture budgets make sub-second
-        # measurement windows, where wall-clock jitter alone can exceed
-        # the CI default of 30% — this asserts the check *path*, not
-        # machine timing stability
-        assert main(["perf", "--check", str(base), "--ratios-only",
-                     "--tolerance", "0.9"]) == 0
-
-    def test_perf_check_rejects_budget_mode_mismatch(self, tiny_workloads,
-                                                     tmp_path, capsys):
-        base = tmp_path / "base.json"
-        assert main(["perf", "--output", str(base)]) == 0  # full-mode base
-        capsys.readouterr()
-        assert main(["perf", "--quick", "--check", str(base),
-                     "--ratios-only"]) == 1
-        assert "budget-mode mismatch" in capsys.readouterr().err
-
-    def test_perf_check_fails_on_regression(self, tiny_workloads, tmp_path,
-                                            capsys):
-        base = tmp_path / "base.json"
-        assert main(["perf", "--output", str(base)]) == 0
-        doc = json.loads(base.read_text())
-        doc["headline"]["speedup"] *= 100  # impossible baseline
-        base.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(["perf", "--check", str(base), "--ratios-only"]) == 1
-        assert "PERF REGRESSION" in capsys.readouterr().err
-
-
 class TestMemFlags:
     """--mem presets/files and sweep --mem-axis (PR 5)."""
 

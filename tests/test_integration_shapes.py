@@ -2,7 +2,8 @@
 
 Small instruction budgets keep these fast; the assertions are deliberately
 loose bands around the paper's claims (S1-S8 in DESIGN.md), not exact
-numbers. The full-budget numbers live in EXPERIMENTS.md.
+numbers. ``repro-sim figure all`` regenerates the figures at the paper's
+full budgets.
 """
 
 import pytest

@@ -13,18 +13,23 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.engine import Counters, RunSpec
+from repro.engine import Counters, RouterSpec, RunSpec
 from repro.engine.backends import Backend, get_backend, register_backend
 from repro.service import JobStore, SimService, parse_job_request
 from repro.service.jobs import Job
 from repro.service.wire import WireError
+from repro.workloads.profiles import BenchProfile
+from repro.workloads.spec import WorkloadSpec
 
 
 @pytest.fixture(autouse=True)
@@ -40,6 +45,53 @@ def fast_spec(**kw):
     )
     base.update(kw)
     return RunSpec.multiprogrammed(**base)
+
+
+def mutated(doc, path, value):
+    """``doc`` (a spec dict, changed in place) with ``path`` set to
+    ``value``."""
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+#: path of the first playlist entry's profile inside a spec dict
+PROFILE = ("workload", "threads", 0, 0, "profile")
+
+#: spec mutations a job could only fail on (or run as something else)
+UNRUNNABLE = {
+    "unhashable": (("config_overrides",), {"mshrs": [1, 2]}),
+    "unknown_field": (("config_overrides",), {"no_such_field": 3}),
+    "l1_bytes": (("config_overrides",), {"l1_bytes": 3000}),
+    "mshrs": (("config_overrides",), {"mshrs": 0}),
+    "seed_str": (("seed",), "x"),
+    "seed_float": (("seed",), 1.5),
+    "seed_null": (("seed",), None),
+    "commits_str": (("commits",), "100"),
+    "scale_str": (("scale",), "0.1"),
+    "decoupled_str": (("decoupled",), "no"),
+    "decoupled_int": (("decoupled",), 1),
+    "scale_with_latency_str": (("scale_with_latency",), "no"),
+    "profile_null": (PROFILE + ("hot_frac",), None),
+    "profile_str": (PROFILE + ("fp_per_load",), "x"),
+    "profile_int_float": (PROFILE + ("unroll",), 1.5),
+    "profile_name_not_utf8": (PROFILE + ("name",), "\ud800"),
+    **{f"{name}_0": (PROFILE + (name,), 0) for name in (
+        "iters", "ws_bytes", "store_ws_bytes", "index_every", "n_chains",
+        "hot_bytes", "gather_ws_bytes")},
+    **{f"{name}_-1": (PROFILE + (name,), -1) for name in (
+        "hot_bytes", "gather_ws_bytes", "index_dist", "n_chains")},
+}
+
+#: router corpora a client might name: the worker would read each whole
+FOREIGN_CORPORA = ["/dev/zero", "/no/such/corpus.json", "/etc/passwd"]
+
+
+def hybrid_doc(corpus):
+    return fast_spec(backend="hybrid", router=RouterSpec(corpus=corpus)).to_dict()
 
 
 # -- wire schema ------------------------------------------------------------------
@@ -87,15 +139,55 @@ class TestWire:
             parse_job_request(json.dumps({"spec": doc}).encode())
 
     @pytest.mark.parametrize(
-        "overrides",
-        [{"mshrs": [1, 2]}, {"no_such_field": 3}, {"l1_bytes": 3000},
-         {"mshrs": 0}],
-        ids=["unhashable", "unknown_field", "l1_bytes", "mshrs"],
+        "path, value", list(UNRUNNABLE.values()), ids=list(UNRUNNABLE)
     )
-    def test_rejects_specs_that_cannot_run(self, overrides):
-        doc = {**fast_spec().to_dict(), "config_overrides": overrides}
+    def test_rejects_specs_that_cannot_run(self, path, value):
+        doc = mutated(fast_spec().to_dict(), path, value)
         with pytest.raises(WireError, match=r"spec\[0\]"):
             parse_job_request(json.dumps({"specs": [doc]}).encode())
+
+    @pytest.mark.parametrize("corpus", FOREIGN_CORPORA)
+    def test_rejects_client_chosen_router_corpus(self, corpus):
+        body = json.dumps({"spec": hybrid_doc(corpus)}).encode()
+        with pytest.raises(WireError, match="router.corpus"):
+            parse_job_request(body)
+
+    def test_default_router_corpus_is_accepted(self):
+        req = parse_job_request(
+            json.dumps({"spec": hybrid_doc("default")}).encode())
+        assert req.specs[0].router.corpus == "default"
+
+    #: a valid one-benchmark spec whose profile has gathers, so every
+    #: profile field reaches synthesis; a short trace segment keeps one
+    #: synthesis in the tens of milliseconds
+    FUZZ_BASE = RunSpec.from_workload(
+        WorkloadSpec.single("su2cor", seg_instrs=2000), scale=0.05,
+        backend="analytic",
+    )
+    FUZZ_PATHS = [(name,) for name in (
+        "backend", "l2_latency", "decoupled", "scale_with_latency", "seed",
+        "commits", "warmup", "scale",
+    )] + [PROFILE + (f.name,) for f in fields(BenchProfile)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        path=st.sampled_from(FUZZ_PATHS),
+        value=st.one_of(
+            st.none(), st.booleans(), st.integers(min_value=-2, max_value=64),
+            st.floats(min_value=-2, max_value=64),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+            st.text(max_size=4),
+        ),
+    )
+    def test_fuzzed_scalar_is_refused_or_runnable(self, path, value):
+        """Any one scalar of a valid spec replaced by a JSON scalar: the
+        wire refuses the spec, or its machine and trace build."""
+        doc = mutated(self.FUZZ_BASE.to_dict(), path, value)
+        try:
+            req = parse_job_request(json.dumps({"spec": doc}).encode())
+        except WireError:
+            return
+        req.specs[0].instantiate()
 
     def test_rejects_non_string_label(self):
         body = json.dumps({"spec": fast_spec().to_dict(), "label": 7})
@@ -304,6 +396,14 @@ class TestHTTP:
         assert listing["jobs"] == []
         _, metrics = _request(service, "GET", "/metrics")
         assert metrics["queue_depth"] == 0
+
+    @pytest.mark.parametrize("corpus", FOREIGN_CORPORA)
+    def test_client_chosen_router_corpus_is_400(self, service, corpus):
+        status, reply = _request(
+            service, "POST", "/jobs", {"spec": hybrid_doc(corpus)})
+        assert status == 400
+        assert "router.corpus" in reply["error"]
+        assert service.metrics.jobs_submitted == 0
 
     def test_unknown_job_is_404(self, service):
         status, doc = _request(service, "GET", "/jobs/deadbeef")
