@@ -15,8 +15,8 @@ scalars or profile fields of the wrong type or out of synthesis range,
 and a router corpus other than ``"default"`` — raises
 :class:`WireError`, which the server maps to a 400 instead of letting a
 malformed job fail asynchronously after it was accepted.  The corpus is
-a path the worker would read whole, so a client may not choose it; the
-CLI's ``--router-corpus`` still reads local files.
+a path the worker would read whole, so a client may not choose it (the
+CLI's ``--router-corpus`` reads local files).
 """
 
 from __future__ import annotations
