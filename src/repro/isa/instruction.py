@@ -7,6 +7,14 @@ architectural registers, effective address, branch outcome). A
 carries renamed physical registers, timing and bookkeeping state and is
 created at fetch time.
 
+Sharing contract: one ``StaticInst`` object may stand for many dynamic
+instances.  A synthesized trace repeats each non-memory instruction of its
+loop body by reference, traces are cached per process and shared by every
+context that plays them, and every wrong-path generator with the same seed
+cycles the same pool.  Nothing writes to a ``StaticInst`` slot after
+``__init__``; ``tests/test_pinned_traces.py`` re-digests the shared objects
+after a run to keep it that way.
+
 Both classes use ``__slots__``: the simulator allocates one ``DynInst`` per
 fetched instruction, which is the hottest allocation path in the model.
 """
@@ -17,9 +25,18 @@ from repro.isa.opclass import OpClass, Unit, is_load, is_store, steer
 
 _NO_SRCS: tuple[int, ...] = ()
 
+#: op class -> ``(unit, is_load, is_store, is_branch)``: the traits every
+#: instruction caches, computed once per class instead of once per
+#: instruction
+_TRAITS = {
+    op: (steer(op), is_load(op), is_store(op), op == OpClass.BRANCH)
+    for op in OpClass
+}
+
 
 class StaticInst:
-    """One trace entry.
+    """One trace entry; shared and never written after construction (see
+    the module docstring).
 
     Attributes:
         pc: instruction address (used to index the branch predictor).
@@ -53,10 +70,7 @@ class StaticInst:
         self.target = target
         # Pre-computed at trace build time: steering saves a dict lookup per
         # fetch, the class predicates a property call per commit/dispatch.
-        self.unit = steer(op)
-        self.is_load = is_load(op)
-        self.is_store = is_store(op)
-        self.is_branch = op == OpClass.BRANCH
+        self.unit, self.is_load, self.is_store, self.is_branch = _TRAITS[op]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [f"pc={self.pc:#x}", self.op.name]

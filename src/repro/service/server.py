@@ -14,6 +14,11 @@ plus ~80 lines of parsing beat dragging in a framework:
   the engines' lifetime cached/executed/forked totals.
 * ``GET /healthz`` — liveness (and whether a drain is in progress).
 
+Framing is bounded before any route runs: a request line past the
+stream's 64 KiB line limit is a 400, a longer header line or more than
+:data:`MAX_HEADER_LINES` header lines a 431, a ``Content-Length`` that is
+not ASCII digits a 400 and a body over :data:`MAX_BODY_BYTES` a 413.
+
 A fixed pool of worker tasks consumes the job queue; each worker owns
 one :class:`~repro.engine.scheduler.Engine` and all engines share one
 cache directory, so results flow between workers (and between service
@@ -47,14 +52,19 @@ from repro.service.wire import (
 #: refuse request bodies beyond this (a 4096-spec batch is ~2 MB)
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: refuse header blocks of more lines than this (431); a line longer
+#: than the stream's buffer limit (64 KiB under ``start_server``) is a
+#: 400 as the request line and a 431 as a header
+MAX_HEADER_LINES = 100
+
 #: idle client connections are dropped after this
 REQUEST_TIMEOUT_S = 30.0
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
-    413: "Payload Too Large", 500: "Internal Server Error",
-    503: "Service Unavailable",
+    413: "Payload Too Large", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 503: "Service Unavailable",
 }
 
 
@@ -298,8 +308,14 @@ class SimService:
             except Exception:
                 pass
 
-    async def _read_request(self, reader):
-        line = await reader.readline()
+    @staticmethod
+    async def _read_request(reader):
+        """``(method, target, headers, body)`` of one request, or
+        :class:`_BadRequest` for framing the server refuses."""
+        try:
+            line = await reader.readline()
+        except ValueError:  # past the stream's buffer limit
+            raise _BadRequest("request line too long") from None
         if not line:
             raise _BadRequest("empty request")
         parts = line.decode("latin-1").strip().split()
@@ -307,16 +323,24 @@ class SimService:
             raise _BadRequest("malformed request line")
         method, target, _version = parts
         headers = {}
-        while True:
-            line = await reader.readline()
+        for _ in range(MAX_HEADER_LINES + 1):
+            try:
+                line = await reader.readline()
+            except ValueError:
+                raise _BadRequest("header line too long", 431) from None
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            raise _BadRequest("bad Content-Length") from None
+        else:
+            raise _BadRequest(
+                f"more than {MAX_HEADER_LINES} header lines", 431
+            )
+        declared = headers.get("content-length", "0")
+        # int() alone would also take "-5", "+5" and "5_0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _BadRequest("bad Content-Length")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise _BadRequest(
                 f"body of {length} bytes exceeds {MAX_BODY_BYTES}", 413

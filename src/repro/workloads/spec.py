@@ -50,10 +50,12 @@ from repro.memo import Memoized
 from repro.workloads.profiles import (
     BENCH_ORDER,
     BenchProfile,
+    check_scalars,
     did_you_mean,
     get_profile,
     load_document,
     register_profile,
+    scalar_checks,
 )
 
 #: default trace segment length per playlist entry (the paper used 100 M
@@ -113,6 +115,7 @@ class WorkloadEntry:
     seg_instrs: int | None = None
 
     def __post_init__(self):
+        check_scalars(self, _ENTRY_CHECKS)
         if self.seg_instrs is not None and self.seg_instrs < 1:
             raise ValueError(
                 f"entry seg_instrs must be positive, got {self.seg_instrs}"
@@ -141,7 +144,7 @@ class WorkloadEntry:
                     )
                 value = parse_value(raw)
                 if key == "seg_instrs":
-                    seg = int(value)
+                    seg = value
                 else:
                     overrides[key] = value
         profile = get_profile(base)
@@ -194,6 +197,9 @@ class WorkloadEntry:
         )
 
 
+_ENTRY_CHECKS = scalar_checks(WorkloadEntry, {"seg_instrs"})
+
+
 @dataclass(frozen=True)
 class WorkloadSpec(Memoized):
     """Per-thread playlists, frozen and content-addressable.
@@ -216,8 +222,13 @@ class WorkloadSpec(Memoized):
             raise ValueError(
                 "workload needs >= 1 thread, each with >= 1 entry"
             )
+        check_scalars(self, _SPEC_CHECKS)
         if self.seg_instrs < 1:
             raise ValueError("seg_instrs must be positive")
+        for name in ("default_commits", "default_warmup"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         # a trace name must identify one profile: bench_weight in the
         # characterization walk is keyed by name, so two entries sharing
         # a name but not field values would silently blend wrong
@@ -325,9 +336,9 @@ class WorkloadSpec(Memoized):
             for playlist in threads
         )
         return cls(
-            name=str(d.get("name", "custom")),
+            name=d.get("name", "custom"),
             threads=parsed,
-            seg_instrs=int(d.get("seg_instrs", SEG_INSTRS)),
+            seg_instrs=d.get("seg_instrs", SEG_INSTRS),
             default_commits=d.get("default_commits"),
             default_warmup=d.get("default_warmup"),
         )
@@ -422,6 +433,13 @@ class WorkloadSpec(Memoized):
             default_commits=COMMITS_PER_THREAD,
             default_warmup=WARMUP_PER_THREAD,
         )
+
+
+#: ``seg_instrs: "500"`` or ``2.9`` used to run as 500 or 2 and
+#: ``default_commits: "x"`` to fail inside the job; a bool is no count
+_SPEC_CHECKS = scalar_checks(WorkloadSpec, {
+    "name", "seg_instrs", "default_commits", "default_warmup",
+})
 
 
 # -- preset registry ---------------------------------------------------------

@@ -21,16 +21,23 @@ code, so re-encountering the same instructions (and the same load
 addresses) on later mispredictions is exactly what happens in hardware —
 an endless stream of fresh random instructions is not.
 
-The pool is a *pure function of the seed*: :meth:`_build_pool` draws from
-a fresh ``random.Random(seed)`` every time, so the generator's complete
-dynamic state is ``(seed, _pos)``.  Machine snapshots rely on this —
-pickling drops the (identically rebuildable) pool and keeps only the
-cursor, and a restored generator regenerates the exact same stream.
+The pool is a *pure function of the seed* (and the data layout):
+:func:`_build_pool` draws from a fresh ``random.Random(seed)``, so the
+generator's complete dynamic state is ``(seed, _pos)``.  Machine snapshots
+rely on this — pickling drops the (identically rebuildable) pool and keeps
+only the cursor, and a restored generator regenerates the exact same
+stream.  Purity also lets one process build each pool once:
+:func:`_build_pool` is memoized on ``(seed, data_base, data_span)`` (16
+pools, about 11 MB), and every generator with those arguments cycles the
+same tuple of shared, never-written
+:class:`~repro.isa.instruction.StaticInst` objects.  A fig4-shaped grid
+builds 80 generators over 4 distinct seeds.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from repro.isa.instruction import StaticInst
 from repro.isa.opclass import OpClass
@@ -60,7 +67,7 @@ class WrongPathGenerator:
         self.seed = seed
         self.data_base = data_base
         self.data_span = data_span
-        self._pool: list[StaticInst] | None = None
+        self._pool: tuple[StaticInst, ...] | None = None
         self._pos = 0
 
     def __getstate__(self) -> dict:
@@ -80,51 +87,12 @@ class WrongPathGenerator:
         self._pool = None
         self._pos = state["_pos"]
 
-    def _build_pool(self) -> list[StaticInst]:
-        """Synthesise one PC-wrap period of wrong-path instructions.
-
-        Deterministic in ``self.seed`` alone: the RNG is created fresh
-        here, so a generator restored from a snapshot (which carries no
-        pool) rebuilds byte-for-byte the pool it was using before.
-        """
-        rng = random.Random(self.seed)
-        pool = []
-        pc = _WP_PC_BASE
-        for _ in range(self._POOL_SIZE):
-            x = rng.random()
-            acc = 0.0
-            op = OpClass.IALU
-            for candidate, w in self._MIX:
-                acc += w
-                if x < acc:
-                    op = candidate
-                    break
-            if op == OpClass.LOAD_F:
-                inst = StaticInst(
-                    pc, op, dest=32 + 8 + rng.randrange(16),
-                    srcs=(1,),
-                    addr=self.data_base + (rng.randrange(self.data_span) & ~7),
-                )
-            elif op == OpClass.LOAD_I:
-                inst = StaticInst(
-                    pc, op, dest=18 + rng.randrange(6), srcs=(2,),
-                    addr=self.data_base + (rng.randrange(self.data_span) & ~7),
-                )
-            elif op == OpClass.FALU:
-                d = 32 + rng.randrange(8)
-                inst = StaticInst(pc, op, dest=d, srcs=(d, 32 + 8 + rng.randrange(16)))
-            else:
-                d = 18 + rng.randrange(6)
-                inst = StaticInst(pc, op, dest=d, srcs=(d,))
-            pool.append(inst)
-            pc += _INST_BYTES
-        return pool
-
-    def next_block(self, n: int) -> list[StaticInst]:
+    def next_block(self, n: int) -> tuple[StaticInst, ...]:
         """Produce the next ``n`` wrong-path instructions (cyclic pool)."""
         pool = self._pool
         if pool is None:
-            pool = self._pool = self._build_pool()
+            pool = self._pool = _build_pool(
+                self.seed, self.data_base, self.data_span)
         size = self._POOL_SIZE
         pos = self._pos
         end = pos + n
@@ -136,3 +104,48 @@ class WrongPathGenerator:
             out += pool * whole + pool[:rem]
         self._pos = end % size
         return out
+
+
+@lru_cache(maxsize=16)
+def _build_pool(
+    seed: int, data_base: int, data_span: int
+) -> tuple[StaticInst, ...]:
+    """Synthesise one PC-wrap period of wrong-path instructions.
+
+    Deterministic in its arguments alone: the RNG is created fresh here,
+    so a generator restored from a snapshot (which carries no pool) gets
+    byte-for-byte the pool it was using before.  A tuple, because the
+    cache hands the same pool to every generator that asks.
+    """
+    rng = random.Random(seed)
+    pool = []
+    pc = _WP_PC_BASE
+    for _ in range(WrongPathGenerator._POOL_SIZE):
+        x = rng.random()
+        acc = 0.0
+        op = OpClass.IALU
+        for candidate, w in WrongPathGenerator._MIX:
+            acc += w
+            if x < acc:
+                op = candidate
+                break
+        if op == OpClass.LOAD_F:
+            inst = StaticInst(
+                pc, op, dest=32 + 8 + rng.randrange(16),
+                srcs=(1,),
+                addr=data_base + (rng.randrange(data_span) & ~7),
+            )
+        elif op == OpClass.LOAD_I:
+            inst = StaticInst(
+                pc, op, dest=18 + rng.randrange(6), srcs=(2,),
+                addr=data_base + (rng.randrange(data_span) & ~7),
+            )
+        elif op == OpClass.FALU:
+            d = 32 + rng.randrange(8)
+            inst = StaticInst(pc, op, dest=d, srcs=(d, 32 + 8 + rng.randrange(16)))
+        else:
+            d = 18 + rng.randrange(6)
+            inst = StaticInst(pc, op, dest=d, srcs=(d,))
+        pool.append(inst)
+        pc += _INST_BYTES
+    return tuple(pool)

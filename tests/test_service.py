@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import socket
 import threading
 import time
 import urllib.error
@@ -27,6 +28,7 @@ from repro.engine import Counters, RouterSpec, RunSpec
 from repro.engine.backends import Backend, get_backend, register_backend
 from repro.service import JobStore, SimService, parse_job_request
 from repro.service.jobs import Job
+from repro.service.server import MAX_HEADER_LINES, _BadRequest
 from repro.service.wire import WireError
 from repro.workloads.profiles import BenchProfile
 from repro.workloads.spec import WorkloadSpec
@@ -58,8 +60,10 @@ def mutated(doc, path, value):
     return doc
 
 
-#: path of the first playlist entry's profile inside a spec dict
-PROFILE = ("workload", "threads", 0, 0, "profile")
+#: path of the first playlist entry, and of its profile, inside a spec
+#: dict
+ENTRY = ("workload", "threads", 0, 0)
+PROFILE = ENTRY + ("profile",)
 
 #: spec mutations a job could only fail on (or run as something else)
 UNRUNNABLE = {
@@ -84,6 +88,15 @@ UNRUNNABLE = {
         "hot_bytes", "gather_ws_bytes")},
     **{f"{name}_-1": (PROFILE + (name,), -1) for name in (
         "hot_bytes", "gather_ws_bytes", "index_dist", "n_chains")},
+    "default_commits_str": (("workload", "default_commits"), "x"),
+    "default_commits_float": (("workload", "default_commits"), 1.5),
+    "default_commits_bool": (("workload", "default_commits"), True),
+    "default_warmup_-5": (("workload", "default_warmup"), -5),
+    "seg_instrs_bool": (("workload", "seg_instrs"), True),
+    "seg_instrs_float": (("workload", "seg_instrs"), 2.9),
+    "seg_instrs_str": (("workload", "seg_instrs"), "500"),
+    "workload_name_int": (("workload", "name"), 5),
+    "entry_seg_instrs_float": (ENTRY + ("seg_instrs",), 1.5),
 }
 
 #: router corpora a client might name: the worker would read each whole
@@ -167,7 +180,11 @@ class TestWire:
     FUZZ_PATHS = [(name,) for name in (
         "backend", "l2_latency", "decoupled", "scale_with_latency", "seed",
         "commits", "warmup", "scale",
-    )] + [PROFILE + (f.name,) for f in fields(BenchProfile)]
+    )] + [("workload", name) for name in (
+        "name", "seg_instrs", "default_commits", "default_warmup",
+    )] + [ENTRY + ("seg_instrs",)] + [
+        PROFILE + (f.name,) for f in fields(BenchProfile)
+    ]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -266,6 +283,23 @@ def _request(svc, method, path, body=None):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as err:
         return err.code, json.loads(err.read())
+
+
+def _raw_status(svc, data: bytes) -> int:
+    """The status code of the service's answer to raw request bytes."""
+    with socket.create_connection(("127.0.0.1", svc.port), timeout=15) as sock:
+        try:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:  # refused mid-send: the answer may still be queued
+            pass
+        reply = b""
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:  # closed with our bytes unread
+            pass
+    return int(reply.split(b" ", 2)[1])
 
 
 def _await_job(svc, job_id, timeout=20.0):
@@ -379,6 +413,25 @@ class TestHTTP:
         assert "at least one spec" in doc["error"]
         assert service.metrics.jobs_submitted == 0
 
+    #: the asyncio stream's line limit under ``start_server``
+    LINE_LIMIT = 64 * 1024
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GET /" + b"a" * LINE_LIMIT + b" HTTP/1.1\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * LINE_LIMIT
+         + b"\r\n\r\n", 431),
+        (b"GET /healthz HTTP/1.1\r\n"
+         + b"X-Pad: a\r\n" * (MAX_HEADER_LINES + 1) + b"\r\n", 431),
+        *[(b"GET /healthz HTTP/1.1\r\nContent-Length: " + length
+           + b"\r\n\r\nabcdefghijklmnopqrstuvwxyz0123456789" * 2, 400)
+          for length in (b"-5", b"+5", b"5_0")],
+    ], ids=["long_request_line", "long_header_line", "many_header_lines",
+            "content_length_-5", "content_length_+5", "content_length_5_0"])
+    def test_framing_errors_are_4xx_not_500(self, service, request_bytes, status):
+        assert _raw_status(service, request_bytes) == status
+        # the connection's failure left the server serving
+        assert _request(service, "GET", "/healthz")[0] == 200
+
     @pytest.mark.parametrize(
         "overrides",
         [{"mshrs": [1, 2]}, {"no_such_field": 3}, {"l1_bytes": 3000},
@@ -431,6 +484,61 @@ class TestHTTP:
         assert any("running" in line for line in lines)
         assert any("done" in line for line in lines)
         assert any(spec.label() in line for line in lines)
+
+
+class TestReadRequest:
+    """``_read_request`` over a stream with a small line limit."""
+
+    LIMIT = 64
+    #: header lines that fit the limit, and ones that pass it
+    HEADER = st.one_of(
+        st.sampled_from([b"Host: x", b"Accept: */*", b"X-Empty:", b"junk"]),
+        st.integers(0, 2 * LIMIT).map(lambda n: b"X-Pad: " + b"a" * n),
+    )
+
+    @staticmethod
+    def _read(data: bytes, limit: int):
+        async def read():
+            reader = asyncio.StreamReader(limit=limit)
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await SimService._read_request(reader)
+
+        return asyncio.run(read())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        request_line=st.one_of(
+            st.sampled_from([b"POST /jobs HTTP/1.1", b"GET /healthz HTTP/1.1",
+                             b"GET /", b""]),
+            st.integers(0, 2 * LIMIT).map(
+                lambda n: b"GET /" + b"a" * n + b" HTTP/1.1"),
+        ),
+        headers=st.lists(HEADER, max_size=6),
+        many=st.booleans(),
+        length=st.one_of(
+            st.none(), st.integers(-8, 80).map(str),
+            st.sampled_from(["+5", "5_0", " 5 ", "0x5", "", "\uff15", "1e1"]),
+            st.text(max_size=3),
+        ),
+        body=st.binary(max_size=100),
+    )
+    def test_returns_the_declared_body_or_refuses(
+        self, request_line, headers, many, length, body
+    ):
+        if many:
+            headers = headers + [b"X-Pad: a"] * MAX_HEADER_LINES
+        if length is not None:
+            headers = headers + [f"Content-Length: {length}".encode()]
+        data = b"\r\n".join([request_line, *headers, b"", body])
+        try:
+            _, _, got_headers, got_body = self._read(data, self.LIMIT)
+        except (_BadRequest, asyncio.IncompleteReadError):
+            return
+        declared = got_headers.get("content-length", "0")
+        assert declared.isascii() and declared.isdigit()
+        assert len(got_body) == int(declared)
+        assert len(got_headers) <= MAX_HEADER_LINES
 
 
 # -- coalescing -------------------------------------------------------------------
