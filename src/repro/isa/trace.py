@@ -4,6 +4,11 @@ A trace is an immutable sequence of :class:`~repro.isa.instruction.StaticInst`
 plus a little metadata. The simulator is trace-driven exactly like the
 paper's: the correct execution path, effective addresses and branch outcomes
 all come from the trace; the pipeline adds timing, speculation and squashes.
+
+Synthesized traces are cached per process and shared by every context and run
+that plays them, and one instruction object may fill many positions of a
+trace (see :mod:`repro.isa.instruction`): nothing writes to a trace or
+its instructions after synthesis.
 """
 
 from __future__ import annotations

@@ -52,9 +52,7 @@ from repro.service.wire import (
 #: refuse request bodies beyond this (a 4096-spec batch is ~2 MB)
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
-#: refuse header blocks of more lines than this (431); a line longer
-#: than the stream's buffer limit (64 KiB under ``start_server``) is a
-#: 400 as the request line and a 431 as a header
+#: refuse header blocks of more lines than this (431)
 MAX_HEADER_LINES = 100
 
 #: idle client connections are dropped after this
