@@ -27,7 +27,7 @@ Subcommands:
 
 ``figure``, ``sweep``, ``run`` and ``bench`` take ``--backend
 {cycle,analytic,hybrid}``: the faithful staged kernel, the mean-value
-fast model (microseconds per run) for sweeps far beyond what cycle
+fast model (milliseconds per run) for sweeps far beyond what cycle
 accuracy can afford, or the multi-fidelity router that screens whole
 grids analytically with calibrated error bars and promotes only the
 cells that matter (extrema, decision boundaries, over-budget bars) to
@@ -779,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     backend_flags.add_argument(
         "--backend", choices=backend_names(), default="cycle",
         help="simulation engine: 'cycle' (faithful staged kernel), "
-             "'analytic' (mean-value fast model, microseconds per run; "
+             "'analytic' (mean-value fast model, milliseconds per run; "
              "validated by 'repro-sim conformance'), or 'hybrid' (the "
              "multi-fidelity router: analytic screens with calibrated "
              "error bars, cycle verifies the cells that matter)",

@@ -20,9 +20,10 @@ configurations cover the paper's experimental variants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.memory.spec import MemSpec
+from repro.workloads.profiles import check_scalars, scalar_checks
 
 
 @dataclass(frozen=True)
@@ -95,17 +96,16 @@ class MachineConfig:
     salt_hot_bytes: int = (1 << 26) + 2816
 
     def __post_init__(self):
-        if self.n_threads < 1:
-            raise ValueError("need at least one hardware context")
-        if self.ap_regs < 33 or self.ep_regs < 33:
+        check_scalars(self, _CHECKS)
+        for name, low in _MINIMA.items():
+            if getattr(self, name) < low:
+                raise ValueError(
+                    f"{name} must be >= {low}, got {getattr(self, name)}"
+                )
+        if self.bht_entries & (self.bht_entries - 1):
             raise ValueError(
-                "physical register files must exceed the 32 architectural "
-                "registers they rename"
+                f"bht_entries must be a power of two, got {self.bht_entries}"
             )
-        if self.l2_latency < 1:
-            raise ValueError("L2 latency must be >= 1")
-        if self.deadlock_cycles < 1:
-            raise ValueError("deadlock_cycles must be >= 1")
         if self.fetch_policy not in ("icount", "rr"):
             raise ValueError(f"unknown fetch policy {self.fetch_policy!r}")
         if self.mem is not None and not isinstance(self.mem, MemSpec):
@@ -145,6 +145,29 @@ class MachineConfig:
         """The paper's degenerate baseline: instruction queues disabled."""
         return self.with_overrides(decoupled=False)
 
+
+#: every field but ``mem`` is an int, bool or str: a config override
+#: of ``1.5`` or ``true`` would fail mid-run or run under a cache key of
+#: its own
+_CHECKS = scalar_checks(
+    MachineConfig, {f.name for f in fields(MachineConfig)} - {"mem"}
+)
+
+#: the smallest value of each field a machine runs with: below 1, a
+#: width, queue or latency wedges the pipeline (or divides by zero in the
+#: analytic model); a register file must exceed the 32 architectural
+#: registers it renames; the salts are address offsets
+_MINIMA = {
+    **dict.fromkeys((
+        "n_threads", "ap_width", "ep_width", "ap_latency", "ep_latency",
+        "fetch_threads", "fetch_width", "fetch_buffer", "dispatch_width",
+        "max_unresolved_branches", "bht_entries", "iq_size", "aq_size",
+        "saq_size", "rob_size", "commit_width", "deadlock_cycles",
+        "l2_latency",
+    ), 1),
+    "ap_regs": 33, "ep_regs": 33,
+    "salt_stream_bytes": 0, "salt_store_bytes": 0, "salt_hot_bytes": 0,
+}
 
 #: The exact Figure-2 machine (single thread).
 PAPER_BASELINE = MachineConfig()

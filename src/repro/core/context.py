@@ -181,18 +181,7 @@ class ThreadContext:
         self.wrong_path = False
         self.wp_queue.clear()
 
-    # -- derived state ----------------------------------------------------------------
-
-    @property
-    def icount(self) -> int:
-        """Instructions pending dispatch (the paper's I-COUNT fetch metric)."""
-        return len(self.fetch_buf)
-
-    def rob_full(self) -> bool:
-        return len(self.rob) >= self.cfg.rob_size
-
-    def in_flight(self) -> int:
-        return len(self.rob)
+    # -- wrong path -------------------------------------------------------------------
 
     def next_wp_inst(self):
         """Next synthetic wrong-path static instruction."""

@@ -199,9 +199,9 @@ class Processor:
         target = st.last_commit_cycle + st.deadlock_cycles + 1
         events = st.events
         if events:
-            # inlined next_event_cycle(): one O(1) heap peek per jump
-            # attempt (the heap root is the minimum by the heap invariant;
-            # no rescan of the event list)
+            # the earliest pending completion: one O(1) heap peek per
+            # jump attempt (the heap root is the minimum by the heap
+            # invariant; no rescan of the event list)
             nxt = events[0][0]
             if nxt <= now:
                 return 0  # a due event means writeback work this cycle

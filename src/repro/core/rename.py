@@ -108,14 +108,6 @@ class RenameFile:
         else:
             self.free_ap.append(p)
 
-    def mark_ready(self, p: int, producer_done=None) -> None:
-        if p >= 0:
-            self.ready[p] = 1
-
-    def set_producer(self, p: int, inst) -> None:
-        if p >= 0:
-            self.producer[p] = inst
-
     def fingerprint(self) -> tuple:
         """Complete rename state for snapshot bit-identity checks.
 

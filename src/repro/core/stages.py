@@ -285,8 +285,8 @@ def _try_issue(st: MachineState, t: ThreadContext, d: DynInst, now: int):
     s = d.static
     op = s.op
     stats = st.stats
-    # completion scheduling (MachineState.complete_later) is inlined at
-    # each site below: one method call per issued instruction adds up
+    # each site below pushes its completion event onto ``st.events``
+    # inline: one method call per issued instruction adds up
     if op == _OP_LOAD_F or op == _OP_LOAD_I:
         mem = st.mem
         fwd = t.saq.find_older_match(s.addr, d.seq)
@@ -718,43 +718,12 @@ class DispatchStage(Stage):
             return False
         return True
 
-    @staticmethod
-    def _do_dispatch(st: MachineState, t: ThreadContext, d: DynInst) -> None:
-        rename = t.rename
-        s = d.static
-        op = s.op
-        if op == _OP_STORE_F or op == _OP_STORE_I:
-            srcs = s.srcs
-            d.psrcs = rename.srcs_of(srcs[:1])
-            if len(srcs) > 1:
-                data = srcs[1]
-                if data != 31 and data != 63:  # hardwired zeros
-                    d.pdata = rename.map[data]
-            t.saq.push(d)
-        else:
-            d.psrcs = rename.srcs_of(s.srcs)
-        dest = s.dest
-        if dest is not None:
-            pdest, d.old_pdest = rename.rename_dest(dest)
-            d.pdest = pdest
-            if pdest >= 0:
-                rename.producer[pdest] = d
-        if op == _OP_BRANCH:
-            t.unresolved_branches += 1
-        # capacity was checked by can_dispatch; append directly
-        if st.cfg.decoupled:
-            (t.iq if d.unit == _UNIT_EP else t.aq).q.append(d)
-        else:
-            t.uq.q.append(d)
-        t.rob.append(d)
-
     def tick(self, st: MachineState) -> None:
-        # Inlined merge of can_dispatch + _do_dispatch with the per-tick
-        # config hoisted into locals: this is the hottest stage on busy
-        # workloads, and the split version re-derived static fields and
-        # re-selected the target queue once per check and once per commit.
-        # The split methods stay authoritative for quiescent(); the
-        # fast-forward differential suite keeps the copies in lockstep.
+        # can_dispatch's checks and the dispatch itself, inlined with the
+        # per-tick config hoisted into locals: this is the hottest stage
+        # on busy workloads.  can_dispatch stays for next_wake_cycle; the
+        # fast-forward differential suite keeps the two copies of its
+        # checks in lockstep.
         cfg = st.cfg
         budget = cfg.dispatch_width
         threads = st.threads

@@ -18,8 +18,6 @@ the heap head.
 
 from __future__ import annotations
 
-import heapq
-
 from repro.core.config import MachineConfig
 from repro.core.context import ThreadContext
 from repro.isa.instruction import DynInst
@@ -35,9 +33,10 @@ class MachineState:
 
     * ``cycle`` is the cycle currently being simulated; stages may consult
       it but only the scheduler advances it.
-    * ``events`` is a min-heap of ``(cycle, seq, inst)`` completion events;
-      stages push via :meth:`complete_later` and only the writeback stage
-      pops.
+    * ``events`` is a min-heap of ``(cycle, seq, inst)`` completion events
+      (``seq`` from ``evseq``); the issue stage pushes, only the
+      writeback stage pops, and the fast-forward scheduler peeks at the
+      root.
     * ``rr_issue`` / ``rr_dispatch`` are the round-robin starting-thread
       pointers; the owning stage rotates its pointer once per cycle.
     """
@@ -90,17 +89,6 @@ class MachineState:
         self.rr_dispatch = 0
         self.last_commit_cycle = 0
         self.deadlock_cycles = cfg.deadlock_cycles
-
-    # -- events -----------------------------------------------------------------
-
-    def complete_later(self, inst: DynInst, cycle: int) -> None:
-        """Schedule ``inst``'s completion (writeback) at ``cycle``."""
-        self.evseq += 1
-        heapq.heappush(self.events, (cycle, self.evseq, inst))
-
-    def next_event_cycle(self) -> int | None:
-        """Cycle of the earliest pending completion, or ``None``."""
-        return self.events[0][0] if self.events else None
 
     # -- snapshot support --------------------------------------------------------
 

@@ -6,7 +6,7 @@ A *backend* turns a :class:`~repro.engine.spec.RunSpec` into a
 * ``"cycle"`` — the faithful staged cycle-accurate kernel
   (:class:`CycleBackend`, defined here); the reference semantics.
 * ``"analytic"`` — the mean-value fast model (:mod:`repro.model.analytic`),
-  which predicts the same metrics in microseconds per run and is validated
+  which predicts the same metrics in milliseconds per run and is validated
   against ``"cycle"`` by the differential conformance suite
   (``repro-sim conformance``).
 

@@ -3,8 +3,14 @@
 Each entry is one JSON file named by :meth:`RunSpec.key` — a stable hash
 over the complete spec (including seed and ``REPRO_SCALE``), so a cached
 result can only ever be served to the exact simulation that produced it.
-Entries store the spec alongside the stats for auditability; a corrupt or
-unreadable entry is treated as a miss and overwritten on the next put.
+An entry (format 2) holds ``format``, ``spec_version``, ``key``, the
+spec's :meth:`~RunSpec.label` (so a listing of the directory still says
+what each entry is) and ``stats``: about 1.1 KB at 1 to 4 threads.  It
+holds no spec: the sweep JSON and the job records carry each run's spec,
+and a 4-thread spec would make an entry 19 KB for every hit to parse and
+every put to serialize.  A corrupt or unreadable entry, and one of
+another format (format 1 embedded the spec), is treated as a miss and
+overwritten on the next put.
 
 Writes are atomic (temp file + ``os.replace``) so parallel workers and an
 interrupted ``figure all`` never leave half-written entries behind.
@@ -14,8 +20,8 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
+import uuid
 from pathlib import Path
 
 from repro.engine.spec import SPEC_VERSION, RunSpec
@@ -28,7 +34,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 XDG_CACHE_ENV = "XDG_CACHE_HOME"
 
 #: bump when the on-disk entry layout changes
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 #: ``*.tmp`` files older than this are orphans from killed workers and
 #: are swept on the next write; a live writer holds its temp file only
@@ -48,13 +54,6 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-sim"
 
 
-def _current_umask() -> int:
-    """The process umask (only readable by momentarily setting it)."""
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
-
-
 class ResultCache:
     """Maps :class:`RunSpec` -> :class:`SimStats` on disk."""
 
@@ -65,19 +64,22 @@ class ResultCache:
     def _write_atomic(self, path: Path, payload: bytes) -> None:
         """Write ``payload`` to ``path`` via temp file + ``os.replace``.
 
-        ``mkstemp`` opens its file 0600 and ``os.replace`` preserves that
-        mode — in a cache directory shared across users (CI runners, a
-        job server's workers) every other reader would get
-        permission-denied, which :meth:`get` reads as a miss, so the
-        same runs re-simulate forever.  The temp file is therefore
-        re-moded to what a plain ``open()`` would have produced (0666
-        masked by the process umask) before it is published.
+        The temp file is created 0666 and the kernel masks that with the
+        process umask, so an entry gets the mode a plain ``open()`` would
+        give it.  ``mkstemp``'s 0600 would survive ``os.replace``: in a
+        cache directory shared across users (CI runners, a job server's
+        workers) every other reader would get permission-denied, which
+        :meth:`get` reads as a miss, so the same runs would re-simulate
+        forever.  Re-moding the file instead would need the umask, which
+        can only be read by setting it; the job server's threads put
+        concurrently, and two of them could leave each other's entries
+        0600, or the process umask at the value set to read it.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         self._sweep_orphans()
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        tmp = self.root / f"{uuid.uuid4().hex}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.chmod(tmp, 0o666 & ~_current_umask())
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
             os.replace(tmp, path)
@@ -119,8 +121,9 @@ class ResultCache:
 
         Any unreadable entry — missing file, truncated or invalid JSON, a
         JSON document whose root is not an object (``AttributeError`` from
-        ``entry.get``), or a malformed ``stats`` payload — reads as a
-        miss; the next ``put`` simply overwrites it.
+        ``entry.get``), an entry of another :data:`CACHE_FORMAT`, or a
+        malformed ``stats`` payload — reads as a miss; the next ``put``
+        simply overwrites it.
 
         Entries also embed the :data:`~repro.engine.spec.SPEC_VERSION`
         that produced them, and a mismatch (or its absence, for entries
@@ -148,7 +151,7 @@ class ResultCache:
             "format": CACHE_FORMAT,
             "spec_version": SPEC_VERSION,
             "key": spec.key(),
-            "spec": spec.to_dict(),
+            "label": spec.label(),
             "stats": stats.to_dict(),
         }
         self._write_atomic(

@@ -4,7 +4,9 @@ Predicts IPC, perceived load-miss latency, bus utilization and the
 per-unit issue-slot breakdown for one :class:`~repro.engine.spec.RunSpec`
 from a timing-free workload characterization
 (:mod:`repro.model.charwalk`) plus the machine configuration — in
-microseconds per run instead of the cycle kernel's seconds.
+milliseconds per run instead of the cycle kernel's seconds (about 1 ms
+per 1-thread spec and 2-4 ms per 4-thread spec at ``REPRO_SCALE=0.1``,
+traces already built, on a 2-vCPU x86 host).
 
 The model is a damped fixed point over aggregate useful IPC ``x``:
 
@@ -426,7 +428,8 @@ class AnalyticBackend(Backend):
     """The mean-value fast model (see module docstring)."""
 
     name = "analytic"
-    #: per-run cost is microseconds: never worth a worker process
+    #: a run costs milliseconds, far below a worker process's start-up:
+    #: never worth a worker process
     process_pool_worthwhile = False
 
     def run(self, spec) -> SimStats:

@@ -5,7 +5,7 @@
 whose backend :attr:`routes_grids`:
 
 1. the whole grid runs on the **analytic** backend (in-process,
-   microseconds per cell, results cached under the analytic specs' own
+   milliseconds per cell, results cached under the analytic specs' own
    keys);
 2. the fitted :class:`~repro.router.errmodel.ErrorModel` attaches a
    calibrated IPC interval to every cell;

@@ -240,16 +240,21 @@ class SimStats:
     @classmethod
     def from_dict(cls, d: dict) -> "SimStats":
         """Inverse of :meth:`to_dict`; unknown keys are ignored so newer
-        readers tolerate older cache entries (and vice versa)."""
-        known = {f.name for f in fields(cls)}
-        kw = {k: v for k, v in d.items() if k in known}
-        if "committed_per_thread" in kw:
-            kw["committed_per_thread"] = {
-                int(k): int(v) for k, v in (kw["committed_per_thread"] or {}).items()
-            }
-        if "slot_counts" in kw:
-            kw["slot_counts"] = [list(row) for row in kw["slot_counts"]]
-        return cls(**kw)
+        readers tolerate older cache entries (and vice versa), and
+        missing keys keep their defaults.
+
+        Every cache hit and every pool result is decoded here, so the
+        named fields overwrite a default instance in one step: a call of
+        the constructor with some 40 keywords cost twice as much.
+        """
+        out = cls()
+        known = out.__dict__
+        known.update({k: v for k, v in d.items() if k in known})
+        out.committed_per_thread = {
+            int(k): int(v) for k, v in (out.committed_per_thread or {}).items()
+        }
+        out.slot_counts = [list(row) for row in out.slot_counts]
+        return out
 
     def copy(self) -> "SimStats":
         """An independent copy: the scalar fields are shared (immutable)

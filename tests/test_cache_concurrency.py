@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import signal
 import stat
+import sys
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -44,7 +45,7 @@ def tiny_spec(**kw):
 
 
 def fast_spec(**kw):
-    """An analytic-backend spec (microseconds per run) for tight races."""
+    """An analytic-backend spec (milliseconds per run) for tight races."""
     kw.setdefault("backend", "analytic")
     return tiny_spec(**kw)
 
@@ -64,7 +65,7 @@ def _mode(path) -> int:
 
 class TestSharedDirPermissions:
     """``mkstemp`` opens 0600 and ``os.replace`` preserves it; entries
-    must be re-moded to what the umask allows before publication."""
+    must get the mode the umask allows, without touching the umask."""
 
     def test_result_entries_honor_umask(self, tmp_path, umask_022):
         cache = ResultCache(tmp_path)
@@ -94,6 +95,58 @@ class TestSharedDirPermissions:
             assert _mode(path) == 0o600
         finally:
             os.umask(old)
+
+    def test_writes_never_touch_the_umask(self, tmp_path, monkeypatch):
+        # reading the umask means setting it, which races between the
+        # threads of one process; the kernel applies it instead
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        cache = ResultCache(tmp_path)
+        spec = fast_spec()
+        stats = spec.execute()
+        monkeypatch.setattr(os, "umask", no_umask)
+        cache.put(spec, stats)
+        cache.put_snapshot("a" * 32, b"payload")
+        assert cache.get(spec) == stats
+
+    def test_racing_writers_publish_umask_modes(self, tmp_path, umask_022):
+        """More writer threads than cores, switching every microsecond:
+        every published file is 0644 and the umask is still 0o022 (a
+        writer that set the umask to read it could leave it 0o077 and
+        another writer's file 0600)."""
+        n_threads, per_thread = 2 * (os.cpu_count() or 1) + 8, 300
+        stop = time.monotonic() + 1.0
+        errors: list = []
+
+        def writer(i):
+            cache = ResultCache(tmp_path)
+            try:
+                for j in range(per_thread):
+                    if time.monotonic() > stop:
+                        break
+                    cache.put_snapshot(f"{i:04x}{j:04x}" + "0" * 24, b"x")
+            except Exception as exc:  # pragma: no cover - the failure mode
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        threads = [threading.Thread(target=writer, args=(i,))
+                   for i in range(n_threads)]
+        try:
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+            umask_after = os.umask(0o022)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        modes = [_mode(p) for p in tmp_path.glob("*.snap")]
+        assert modes
+        assert [oct(m) for m in modes if m != 0o644] == []
+        assert umask_after == 0o022
 
 
 class TestOrphanSweep:

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from repro.engine import Engine, ResultCache, RunSpec, Sweep, submit
-from repro.engine.cache import default_cache_dir
+from repro.engine.cache import CACHE_FORMAT, default_cache_dir
 from repro.engine.scheduler import resolve_workers
+from repro.engine.spec import SPEC_VERSION
 from repro.stats.counters import SimStats
 
 
@@ -147,7 +148,27 @@ class TestSimStatsRoundTrip:
     def test_unknown_keys_ignored(self):
         d = SimStats(cycles=1).to_dict()
         d["from_the_future"] = 1
-        assert SimStats.from_dict(d).cycles == 1
+        clone = SimStats.from_dict(d)
+        assert clone.cycles == 1
+        assert not hasattr(clone, "from_the_future")
+        assert clone == SimStats(cycles=1)
+
+    def test_missing_keys_keep_their_defaults(self):
+        d = SimStats(cycles=7, committed=3).to_dict()
+        for name in ("committed_per_thread", "slot_counts", "level_stats",
+                     "fidelity", "ipc_hi"):
+            del d[name]
+        clone = SimStats.from_dict(d)
+        assert clone == SimStats(cycles=7, committed=3)
+        # defaults are fresh per decode, never shared between results
+        clone.slot_counts[0][0] += 1
+        assert SimStats.from_dict(d).slot_counts[0][0] == 0
+
+
+#: the head of a current cache entry, so that the stats payloads after
+#: it decide a read (``test_current_head_with_stats_is_a_hit`` is the
+#: control)
+HEAD = f'{{"format": {CACHE_FORMAT}, "spec_version": {SPEC_VERSION}'
 
 
 class TestResultCache:
@@ -175,14 +196,14 @@ class TestResultCache:
 
     @pytest.mark.parametrize("payload", [
         "",                                    # empty file
-        '{"format": 1, "stats": {"cyc',        # truncated mid-write
+        HEAD + ', "stats": {"cyc',             # truncated mid-write
         "5",                                   # valid JSON, non-dict root
         "[1, 2, 3]",                           # valid JSON, list root
         '"just a string"',
         '{"format": 999, "stats": {}}',        # future format
-        '{"format": 1}',                       # stats key missing
-        '{"format": 1, "stats": 5}',           # stats not a mapping
-        '{"format": 1, "stats": {"slot_counts": 7}}',  # malformed field
+        HEAD + "}",                            # stats key missing
+        HEAD + ', "stats": 5}',                # stats not a mapping
+        HEAD + ', "stats": {"slot_counts": 7}}',  # malformed field
     ])
     def test_unreadable_entries_read_as_misses(self, tmp_path, payload):
         cache = ResultCache(tmp_path)
@@ -190,6 +211,51 @@ class TestResultCache:
         cache.path_for(spec).parent.mkdir(parents=True, exist_ok=True)
         cache.path_for(spec).write_text(payload)
         assert cache.get(spec) is None
+
+    def test_current_head_with_stats_is_a_hit(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = tiny_spec()
+        cache.root.mkdir(parents=True, exist_ok=True)
+        cache.path_for(spec).write_text(HEAD + ', "stats": {"cycles": 9}}')
+        assert cache.get(spec) == SimStats(cycles=9)
+
+    def test_format_1_entry_is_rewritten_as_format_2(self, tmp_path):
+        # byte for byte what format 1 wrote: the spec embedded in full
+        spec = tiny_spec()
+        stats = spec.execute()
+        cache = ResultCache(tmp_path)
+        cache.root.mkdir(parents=True, exist_ok=True)
+        cache.path_for(spec).write_bytes(json.dumps({
+            "format": 1, "spec_version": SPEC_VERSION, "key": spec.key(),
+            "spec": spec.to_dict(), "stats": stats.to_dict(),
+        }, sort_keys=True).encode("utf-8"))
+        assert cache.get(spec) is None
+        engine = Engine(workers=1, cache=ResultCache(tmp_path))
+        assert engine.map([spec])[spec] == stats
+        assert engine.n_executed == 1 and engine.n_cached == 0
+        entry = json.loads(cache.path_for(spec).read_text())
+        assert entry["format"] == CACHE_FORMAT == 2
+        assert "spec" not in entry
+        assert cache.get(spec) == stats
+
+    def test_entries_hold_no_spec(self, tmp_path, monkeypatch):
+        spec = tiny_spec(n_threads=4, backend="analytic")
+        stats = spec.execute()
+        spec.key()  # memoized: keying never serializes the spec again
+
+        def no_serialization(self):
+            raise AssertionError("the cache serialized a spec")
+
+        monkeypatch.setattr(RunSpec, "to_dict", no_serialization)
+        cache = ResultCache(tmp_path)
+        path = cache.put(spec, stats)
+        assert cache.get(spec) == stats
+        entry = json.loads(path.read_text())
+        assert sorted(entry) == ["format", "key", "label", "spec_version",
+                                 "stats"]
+        assert entry["key"] == spec.key()
+        assert entry["label"] == "4T L2=16 dec [analytic]"
+        assert path.stat().st_size < 2048  # 19.1 KB with the spec in it
 
     def test_corrupt_entry_is_overwritten_by_next_put(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -24,6 +24,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import MachineConfig
 from repro.engine import Counters, RouterSpec, RunSpec
 from repro.engine.backends import Backend, get_backend, register_backend
 from repro.service import JobStore, SimService, parse_job_request
@@ -40,7 +41,7 @@ def fast_scale(monkeypatch):
 
 
 def fast_spec(**kw):
-    """An analytic-backend spec: microseconds per run."""
+    """An analytic-backend spec: milliseconds per run."""
     base = dict(
         n_threads=1, l2_latency=16, seed=0, backend="analytic",
         commits_per_thread=1500, warmup_per_thread=500, seg_instrs=3000,
@@ -97,6 +98,22 @@ UNRUNNABLE = {
     "seg_instrs_str": (("workload", "seg_instrs"), "500"),
     "workload_name_int": (("workload", "name"), 5),
     "entry_seg_instrs_float": (ENTRY + ("seg_instrs",), 1.5),
+    # machine config overrides: each wedged the kernel, failed to build
+    # or ran under a cache key of its own
+    **{f"cfg_{name}={value!r}": (("config_overrides",), {name: value})
+       for name, value in [
+           *((name, 0) for name in (
+               "ap_width", "ep_width", "fetch_width", "fetch_threads",
+               "fetch_buffer", "dispatch_width", "commit_width", "rob_size",
+               "max_unresolved_branches", "iq_size", "aq_size", "saq_size",
+               "bht_entries", "ap_latency", "ep_latency")),
+           ("bht_entries", 3), ("ap_width", 1.5), ("ap_width", "4"),
+           ("salt_stream_bytes", 1.5), ("deadlock_cycles", 1.5),
+           ("deadlock_cycles", True), ("ap_width", -1),
+           ("fetch_threads", -1), ("ap_latency", -5), ("ep_latency", -1),
+           ("iq_size", 2.5), ("salt_stream_bytes", -1), ("ap_width", True),
+           ("mshrs", True), ("l1_ports", True),
+       ]},
 }
 
 #: router corpora a client might name: the worker would read each whole
@@ -184,6 +201,9 @@ class TestWire:
         "name", "seg_instrs", "default_commits", "default_warmup",
     )] + [ENTRY + ("seg_instrs",)] + [
         PROFILE + (f.name,) for f in fields(BenchProfile)
+    ] + [
+        ("config_overrides", f.name) for f in fields(MachineConfig)
+        if f.name != "mem"
     ]
 
     @settings(max_examples=150, deadline=None)
