@@ -245,7 +245,8 @@ class SimStats:
 
         Every cache hit and every pool result is decoded here, so the
         named fields overwrite a default instance in one step: a call of
-        the constructor with some 40 keywords cost twice as much.
+        the constructor with some 40 keywords cost two to three times as
+        much.
         """
         out = cls()
         known = out.__dict__

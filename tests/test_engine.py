@@ -196,14 +196,15 @@ class TestResultCache:
 
     @pytest.mark.parametrize("payload", [
         "",                                    # empty file
-        HEAD + ', "stats": {"cyc',             # truncated mid-write
+        pytest.param(HEAD + ', "stats": {"cyc', id="truncated_stats"),
         "5",                                   # valid JSON, non-dict root
         "[1, 2, 3]",                           # valid JSON, list root
         '"just a string"',
         '{"format": 999, "stats": {}}',        # future format
-        HEAD + "}",                            # stats key missing
-        HEAD + ', "stats": 5}',                # stats not a mapping
-        HEAD + ', "stats": {"slot_counts": 7}}',  # malformed field
+        pytest.param(HEAD + "}", id="missing_stats"),
+        pytest.param(HEAD + ', "stats": 5}', id="stats_not_a_mapping"),
+        pytest.param(HEAD + ', "stats": {"slot_counts": 7}}',
+                     id="malformed_stats_field"),
     ])
     def test_unreadable_entries_read_as_misses(self, tmp_path, payload):
         cache = ResultCache(tmp_path)
@@ -368,8 +369,6 @@ class TestSpecVersionGuard:
     its absence, for entries written before it was recorded) is a miss."""
 
     def test_recorded_on_put(self, tmp_path):
-        from repro.engine.spec import SPEC_VERSION
-
         cache = ResultCache(tmp_path)
         spec = tiny_spec()
         cache.put(spec, spec.execute())
@@ -378,8 +377,6 @@ class TestSpecVersionGuard:
 
     @pytest.mark.parametrize("stale", ["older", "missing"])
     def test_mismatch_is_a_miss(self, tmp_path, stale):
-        from repro.engine.spec import SPEC_VERSION
-
         cache = ResultCache(tmp_path)
         spec = tiny_spec()
         stats = spec.execute()
