@@ -100,44 +100,59 @@ _DAMP = 0.5
 _TOL = 1e-6
 
 
-def _merged_stats(
-    char: WorkloadCharacter, cls: int, l_miss: float, cpi_t: float,
-    hide: float, window_cap: float,
-) -> tuple[float, float]:
-    """Merged secondary misses and their residual stall, per instruction.
+# -- merged secondary misses --------------------------------------------------
+# A walk hit whose line age ``a`` (per-thread instructions) satisfies
+# ``a * cpi_t < l_miss`` would have found the line still in flight: a
+# merged miss whose consumer waits the *residual* fill time
+# ``l_miss - a*cpi_t`` minus whatever the run-ahead hides. In-order issue
+# also caps the window at the run-ahead distance (instructions): a load
+# further behind the stalled consumer than that never issues while the
+# line is still in flight. Bucket ``b`` holds ages in ``[2**(b-1), 2**b)``;
+# buckets fully inside the window count whole (evaluated at their
+# midpoint), the straddling bucket linearly. Both helpers return
+# per-instruction values, 0 for a window of at most one instruction.
 
-    A walk hit whose line age ``a`` (per-thread instructions) satisfies
-    ``a * cpi_t < l_miss`` would have found the line still in flight — a
-    merged miss whose consumer waits the *residual* fill time
-    ``l_miss - a*cpi_t`` minus whatever the run-ahead hides. In-order
-    issue additionally caps the window at the run-ahead distance
-    (``window_cap``, instructions): a load further behind the stalled
-    consumer than that never issues while the line is still in flight.
-    Bucket ``b`` holds ages in ``[2**(b-1), 2**b)``; buckets fully inside
-    the window count whole (evaluated at their midpoint), the straddling
-    bucket linearly.
 
-    Returns ``(merged_per_instr, residual_stall_per_instr)``.
-    """
-    window = min(l_miss / max(cpi_t, _EPS), window_cap)
-    if window <= 1.0:
-        return 0.0, 0.0
-    hist = char.reuse[cls]
-    merged = 0.0
-    stall = 0.0
+def _reuse_table(hist) -> tuple:
+    """The non-empty buckets of one reuse histogram, ascending, as
+    ``(lo, hi, count, hi - lo, midpoint)`` floats."""
+    table = []
     for b, count in enumerate(hist):
-        if not count:
-            continue
-        lo = 0.0 if b == 0 else float(1 << (b - 1))
-        hi = float(1 << b)
+        if count:
+            lo = 0.0 if b == 0 else float(1 << (b - 1))
+            hi = float(1 << b)
+            table.append((lo, hi, float(count), hi - lo, (lo + hi) / 2.0))
+    return tuple(table)
+
+
+def _residual_stall(table, window: float, l_miss: float, cpi_t: float,
+                    hide: float, n: int) -> float:
+    """Stall cycles per instruction of the merged misses in ``window``."""
+    if window <= 1.0:
+        return 0.0
+    stall = 0.0
+    for lo, hi, count, width, mid in table:
         if lo >= window:
-            continue
-        frac = 1.0 if hi <= window else (window - lo) / (hi - lo)
-        mid = (lo + min(hi, window)) / 2.0
-        merged += count * frac
-        stall += count * frac * max(0.0, l_miss - mid * cpi_t - hide)
-    n = max(1, char.instrs)
-    return merged / n, stall / n
+            break
+        if hi <= window:
+            stall += count * max(0.0, l_miss - mid * cpi_t - hide)
+        else:
+            mid = (lo + window) / 2.0
+            stall += (count * ((window - lo) / width)
+                      * max(0.0, l_miss - mid * cpi_t - hide))
+    return stall / n
+
+
+def _merged(table, window: float, n: int) -> float:
+    """Merged misses per instruction in ``window``."""
+    if window <= 1.0:
+        return 0.0
+    merged = 0.0
+    for lo, hi, count, width, _ in table:
+        if lo >= window:
+            break
+        merged += count if hi <= window else count * ((window - lo) / width)
+    return merged / n
 
 
 class AnalyticSolution:
@@ -234,9 +249,36 @@ def solve(spec, cfg, char: WorkloadCharacter) -> AnalyticSolution:
     ]
     if traffic > 0 and fifo_bus:
         caps.append(1.0 / (B * traffic))
-    x = min(float(T), min(caps))
+    cap = min(caps)
+    x = min(float(T), cap)
 
-    sol = AnalyticSolution()
+    # -- loop invariants ---------------------------------------------------
+    # Every floating-point operation below keeps the order it had when
+    # these were computed inside the loop, so results are bit-identical
+    # (tests/test_pinned_solver.py).
+    decoupled = cfg.decoupled
+    l_fixed = CAL["C_MISS_FIXED"] + L2 + B
+    # run-ahead distance (instructions); a load further behind than this
+    # never issues while its line is in flight
+    run_ahead = (
+        slip_ceiling if decoupled else CAL["ND_USE_FRAC"] * char.iter_len
+    )
+    int_use_dist = char.int_use_dist
+    reuse_fp = _reuse_table(char.reuse[CLS_LOAD_FP])
+    reuse_int = _reuse_table(char.reuse[CLS_LOAD_INT])
+    c_issue = max(
+        f_ap * T / cfg.ap_width,
+        f_ep * T / cfg.ep_width,
+        f_ep / max(r_chain, _EPS),
+        T / cfg.dispatch_width,
+        f_mem * T / cfg.l1_ports,
+        T / fetch_rate,
+        1.0 / cfg.commit_width,
+    )
+    c_br = mp * CAL["BR_PENALTY"]
+    mshrs = l0.mshrs if phi > 0 else None
+    keep = 1.0 - _DAMP
+
     for _ in range(_MAX_ITER):
         x_t = x / T
         cpi_t = 1.0 / max(x_t, _EPS)
@@ -244,28 +286,19 @@ def solve(spec, cfg, char: WorkloadCharacter) -> AnalyticSolution:
         # -- miss round trip under bus + MSHR contention -------------------
         rho = min(0.98, x * traffic * B)
         wq = rho * B / (2.0 * max(1.0 - rho, 0.02)) if fifo_bus else 0.0
-        l_miss = CAL["C_MISS_FIXED"] + L2 + B + wq
+        l_miss = l_fixed + wq
 
         # -- run-ahead hiding ----------------------------------------------
-        if cfg.decoupled:
-            run_ahead = slip_ceiling
-            hide_fp = slip_ceiling * cpi_t
-            hide_int = char.int_use_dist * cpi_t
-        else:
-            run_ahead = CAL["ND_USE_FRAC"] * char.iter_len
-            hide_fp = run_ahead * cpi_t
-            hide_int = max(char.int_use_dist * cpi_t, hide_fp)
+        hide_fp = run_ahead * cpi_t
+        hide_int = int_use_dist * cpi_t
+        if not decoupled:
+            hide_int = max(hide_int, hide_fp)
 
-        # -- merged secondary misses (lockup-free window) -------------------
-        merged_fp, resid_fp = _merged_stats(
-            char, CLS_LOAD_FP, l_miss, cpi_t, hide_fp, run_ahead
-        )
-        merged_int, resid_int = _merged_stats(
-            char, CLS_LOAD_INT, l_miss, cpi_t, hide_int, run_ahead
-        )
-        # stores drain post-commit and never block the window
-        merged_st, _ = _merged_stats(
-            char, CLS_STORE, l_miss, cpi_t, 0.0, float("inf")
+        # -- residual stall of merged secondary misses ----------------------
+        window = min(l_miss / max(cpi_t, _EPS), run_ahead)
+        resid_fp = _residual_stall(reuse_fp, window, l_miss, cpi_t, hide_fp, n)
+        resid_int = _residual_stall(
+            reuse_int, window, l_miss, cpi_t, hide_int, n
         )
 
         # -- exposed memory stall -------------------------------------------
@@ -278,29 +311,28 @@ def solve(spec, cfg, char: WorkloadCharacter) -> AnalyticSolution:
         stall_int = (phi_int * p_prim_int + resid_int) * einv
 
         # -- CPI assembly ---------------------------------------------------
-        c_issue = max(
-            f_ap * T / cfg.ap_width,
-            f_ep * T / cfg.ep_width,
-            f_ep / max(r_chain, _EPS),
-            T / cfg.dispatch_width,
-            f_mem * T / cfg.l1_ports,
-            T / fetch_rate,
-            1.0 / cfg.commit_width,
-        )
         c_mem = kappa * (stall_fp + stall_int)
-        c_br = mp * CAL["BR_PENALTY"]
         x_new = T / (c_issue + c_mem + c_br)
 
         # shared-resource ceilings (bus and MSHR by Little's law)
-        x_new = min(x_new, *caps)
-        if phi > 0 and l0.mshrs is not None:
-            x_new = min(x_new, l0.mshrs / (l_miss * phi))
+        x_new = min(x_new, cap)
+        if mshrs is not None:
+            x_new = min(x_new, mshrs / (l_miss * phi))
 
         if abs(x_new - x) < _TOL:
             x = x_new
             break
-        x = (1.0 - _DAMP) * x + _DAMP * x_new
+        x = keep * x + _DAMP * x_new
 
+    # merged secondary misses at the last iterate's window; stores drain
+    # post-commit and never block the window, so theirs is uncapped
+    merged_fp = _merged(reuse_fp, window, n)
+    merged_int = _merged(reuse_int, window, n)
+    merged_st = _merged(
+        _reuse_table(char.reuse[CLS_STORE]), l_miss / max(cpi_t, _EPS), n
+    )
+
+    sol = AnalyticSolution()
     sol.ipc = x
     sol.l_miss = l_miss
     sol.rho = min(1.0, x * traffic * B)
