@@ -367,6 +367,10 @@ SCENARIOS: dict[str, BenchProfile] = {
 
 #: name -> (profile, provenance); seeded with the built-ins below
 _REGISTRY: dict[str, tuple[BenchProfile, str]] = {}
+#: bumped by every registration: a cache of objects built from registry
+#: lookups (the shared workload presets) keys on it, so a profile
+#: registered over an old name is never served from an older object
+_generation = 0
 
 
 def register_profile(
@@ -379,12 +383,19 @@ def register_profile(
     :func:`load_profiles` records the source file). With
     ``replace=False`` a name collision raises instead of shadowing.
     """
+    global _generation
     if not profile.name or not isinstance(profile.name, str):
         raise ValueError("profile needs a non-empty string name")
     if not replace and profile.name in _REGISTRY:
         raise ValueError(f"profile {profile.name!r} is already registered")
     _REGISTRY[profile.name] = (profile, provenance)
+    _generation += 1
     return profile
+
+
+def registry_generation() -> int:
+    """How many registrations the profile registry has seen."""
+    return _generation
 
 
 def get_profile(name: str) -> BenchProfile:

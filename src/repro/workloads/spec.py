@@ -23,11 +23,13 @@ collide in the result cache) and it crosses process boundaries without
 the worker having to replay registrations.
 
 Identity: ``WorkloadSpec`` is a frozen dataclass (structural ``==`` /
-``hash``, which is what keys the characterization-walk cache; the hash
-is computed once per object, see :mod:`repro.memo`) and
-:meth:`key` is a stable sha256 over the canonical JSON form — the part of
-:meth:`~repro.engine.spec.RunSpec.key` that addresses the result cache,
-identical across processes and interpreter runs.
+``hash``, which is what keys the characterization-walk cache) and
+:meth:`~WorkloadSpec.canonical_json` is its canonical JSON form — the
+part of :meth:`~repro.engine.spec.RunSpec.key` that addresses the result
+cache, identical across processes and interpreter runs; :meth:`key`
+hashes it. Both the hash and the JSON are computed once per object (see
+:mod:`repro.memo`), and the paper presets hand out one shared object
+per argument tuple, so a grid computes them once.
 
 Files: :func:`load_workload` reads a workload document from JSON or TOML
 (see DESIGN.md "Workload API" for the schema); a document may embed a
@@ -44,6 +46,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from repro.memo import Memoized
@@ -55,6 +58,7 @@ from repro.workloads.profiles import (
     get_profile,
     load_document,
     register_profile,
+    registry_generation,
     scalar_checks,
 )
 
@@ -343,15 +347,35 @@ class WorkloadSpec(Memoized):
             default_warmup=d.get("default_warmup"),
         )
 
+    def canonical_json(self) -> str:
+        """:meth:`to_dict` as canonical JSON (sorted keys, no spaces),
+        built once per object: what :meth:`key` hashes, and what
+        :meth:`RunSpec.key() <repro.engine.spec.RunSpec.key>` splices
+        into its own payload, so a grid of specs sharing one workload
+        object serializes it once. The memo is per object, never per
+        content: a profile float field that holds ``1`` compares and
+        hashes equal to one holding ``1.0`` but serializes differently,
+        so a cache keyed by content would hand one of them the other's
+        key."""
+        return self._memo("_json", lambda: json.dumps(
+            self.to_dict(), sort_keys=True, separators=(",", ":")
+        ))
+
     def key(self) -> str:
         """Stable content hash (sha256 prefix), identical across
-        processes — what the run layer folds into its cache key."""
-        payload = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        processes."""
+        payload = self.canonical_json()
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
     # -- presets ---------------------------------------------------------------
+    #
+    # ``rotation`` and ``single`` return one shared object per distinct
+    # argument tuple (and profile-registry generation), so every cell of
+    # a grid holds the same workload and its memos: the hash and the
+    # canonical JSON are computed once per grid, not once per cell.
+    # Sharing is safe because the object is frozen and its memos derive
+    # from its fields. The cache is typed: ``seg_instrs=20000.0`` must
+    # still be refused, not answered with the object built for 20000.
 
     @classmethod
     def rotation(
@@ -363,21 +387,9 @@ class WorkloadSpec(Memoized):
     ) -> "WorkloadSpec":
         """The paper's section-3 workload: thread ``t`` runs the profile
         list rotated by ``t`` (entries may carry inline overrides)."""
-        names = list(names) if names is not None else list(BENCH_ORDER)
-        entries = [WorkloadEntry.parse(n) for n in names]
-        if name is None:
-            name = f"{n_threads}T"
-            if [e.label for e in entries] != BENCH_ORDER:
-                name += f"[{','.join(e.label for e in entries)}]"
-        return cls(
-            name=name,
-            threads=tuple(
-                tuple(entries[(t + i) % len(entries)] for i in range(len(entries)))
-                for t in range(n_threads)
-            ),
-            seg_instrs=seg_instrs,
-            default_commits=COMMITS_PER_THREAD,
-            default_warmup=WARMUP_PER_THREAD,
+        names = tuple(names) if names is not None else None
+        return _rotation(
+            cls, n_threads, names, seg_instrs, name, registry_generation()
         )
 
     @classmethod
@@ -385,14 +397,7 @@ class WorkloadSpec(Memoized):
         cls, bench: str, seg_instrs: int = SEG_INSTRS, name: str | None = None
     ) -> "WorkloadSpec":
         """The paper's section-2 workload: one benchmark on one context."""
-        entry = WorkloadEntry.parse(bench)
-        return cls(
-            name=name or entry.label,
-            threads=((entry,),),
-            seg_instrs=seg_instrs,
-            default_commits=SINGLE_COMMITS,
-            default_warmup=SINGLE_WARMUP,
-        )
+        return _single(cls, bench, seg_instrs, name, registry_generation())
 
     @classmethod
     def homogeneous(
@@ -440,6 +445,42 @@ class WorkloadSpec(Memoized):
 _SPEC_CHECKS = scalar_checks(WorkloadSpec, {
     "name", "seg_instrs", "default_commits", "default_warmup",
 })
+
+#: distinct preset workloads kept alive; a process rarely builds more
+#: than a few dozen (thread counts x segment lengths)
+_SHARED_PRESETS = 256
+
+
+@lru_cache(maxsize=_SHARED_PRESETS, typed=True)
+def _rotation(cls, n_threads, names, seg_instrs, name, _generation):
+    names = list(names) if names is not None else list(BENCH_ORDER)
+    entries = [WorkloadEntry.parse(n) for n in names]
+    if name is None:
+        name = f"{n_threads}T"
+        if [e.label for e in entries] != BENCH_ORDER:
+            name += f"[{','.join(e.label for e in entries)}]"
+    return cls(
+        name=name,
+        threads=tuple(
+            tuple(entries[(t + i) % len(entries)] for i in range(len(entries)))
+            for t in range(n_threads)
+        ),
+        seg_instrs=seg_instrs,
+        default_commits=COMMITS_PER_THREAD,
+        default_warmup=WARMUP_PER_THREAD,
+    )
+
+
+@lru_cache(maxsize=_SHARED_PRESETS, typed=True)
+def _single(cls, bench, seg_instrs, name, _generation):
+    entry = WorkloadEntry.parse(bench)
+    return cls(
+        name=name or entry.label,
+        threads=((entry,),),
+        seg_instrs=seg_instrs,
+        default_commits=SINGLE_COMMITS,
+        default_warmup=SINGLE_WARMUP,
+    )
 
 
 # -- preset registry ---------------------------------------------------------

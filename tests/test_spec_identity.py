@@ -10,6 +10,8 @@ computed (memoized, restructured) must reproduce them exactly.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import os
 import pickle
 import subprocess
@@ -21,7 +23,12 @@ import pytest
 
 import repro
 from repro.engine import RunSpec
-from repro.workloads.profiles import get_profile
+from repro.engine.spec import SPEC_VERSION
+from repro.workloads.profiles import (
+    get_profile,
+    profile_provenance,
+    register_profile,
+)
 from repro.workloads.spec import WorkloadSpec
 
 SRC = Path(repro.__file__).resolve().parents[1]
@@ -177,3 +184,84 @@ def test_identity_survives_pickling_across_hash_seeds():
     # and the same objects still answer here, under this process's salt
     for name, spec in zip(names, pickle.loads(blob)):
         assert spec in {build(name): 1}
+
+
+def plain_keys(spec) -> tuple[str, str]:
+    """``(key(), warmup_key())`` as one canonical dump of the whole spec
+    document computes them: what the spliced workload JSON must equal."""
+    def digest(doc):
+        payload = json.dumps(
+            {"spec_version": SPEC_VERSION, **doc},
+            sort_keys=True, separators=(",", ":"),
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+
+    doc = spec.to_dict()
+    return digest(doc), digest({**doc, "commits": None})
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_spliced_keys_equal_the_plain_dump(name):
+    """Pinned specs cover router, mem, config overrides and a
+    ``with_profile_overrides`` workload; each is checked as built, after
+    a ``from_dict`` round trip, and retargeted by ``replace``."""
+    spec = build(name)
+    for variant in (
+        spec,
+        RunSpec.from_dict(spec.to_dict()),
+        dataclasses.replace(spec, backend="analytic", l2_latency=96),
+    ):
+        assert (variant.key(), variant.warmup_key()) == plain_keys(variant)
+
+
+def test_presets_share_one_workload_object():
+    a = RunSpec.multiprogrammed(4, scale=0.1)
+    b = RunSpec.multiprogrammed(4, l2_latency=96, decoupled=False, scale=0.1)
+    assert a.workload is b.workload
+    assert (RunSpec.single("swim", scale=0.1).workload
+            is RunSpec.single("swim", scale=0.1).workload)
+    # the sharing is typed: the float is refused, not answered with the
+    # object built for the int
+    WorkloadSpec.rotation(2, seg_instrs=20_000)
+    with pytest.raises(ValueError, match="seg_instrs"):
+        WorkloadSpec.rotation(2, seg_instrs=20_000.0)
+
+
+def test_re_registered_profile_is_not_served_from_a_shared_workload():
+    swim, provenance = get_profile("swim"), profile_provenance("swim")
+    before = WorkloadSpec.single("swim")
+    try:
+        register_profile(dataclasses.replace(swim, hot_frac=0.125))
+        assert WorkloadSpec.single("swim").threads[0][0].profile.hot_frac \
+            == 0.125
+    finally:
+        register_profile(swim, provenance=provenance)
+    assert WorkloadSpec.single("swim") == before
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_int_and_float_profile_fields_keep_their_own_keys(first):
+    """``hot_frac: 1`` and ``1.0`` compare and hash equal but serialize
+    differently, so each spec keeps the key of its own JSON, whichever
+    is keyed first: a cache of JSON keyed by content would not."""
+    specs = []
+    for value in (1, 1.0):
+        doc = RunSpec.multiprogrammed(1, scale=0.1).to_dict()
+        doc["workload"]["threads"][0][0]["profile"]["hot_frac"] = value
+        specs.append(RunSpec.from_dict(doc))
+    assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+    for spec in (specs[first], specs[1 - first]):
+        assert (spec.key(), spec.warmup_key()) == plain_keys(spec)
+    assert specs[0].key() != specs[1].key()
+
+
+def test_pickle_carries_no_workload_json():
+    spec = build("rotation_4T")
+    spec.key(), spec.warmup_key()
+    text = spec.workload.canonical_json()
+    assert spec.workload.__dict__["_json"] is text
+    blob = pickle.dumps(spec)
+    assert text.encode() not in blob
+    loaded = pickle.loads(blob)
+    assert "_json" not in loaded.workload.__dict__
+    assert loaded.key() == spec.key()
