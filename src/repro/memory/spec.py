@@ -39,7 +39,13 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 
-from repro.workloads.profiles import KB, MB, did_you_mean
+from repro.workloads.profiles import (
+    KB,
+    MB,
+    check_scalars,
+    did_you_mean,
+    scalar_checks,
+)
 
 __all__ = [
     "AUTO",
@@ -63,6 +69,34 @@ AUTO = "auto"
 BUS_POLICIES = ("fifo", "ideal")
 #: implemented prefetcher kinds
 PREFETCH_KINDS = ("none", "nextline", "stream")
+
+
+def _auto_checks(cls) -> tuple:
+    """``(field, nullable)`` for each field of ``cls`` that takes
+    :data:`AUTO`: annotated ``int | str``, or ``int | None | str``."""
+    return tuple(
+        (f.name, "None" in f.type) for f in fields(cls)
+        if f.type.startswith("int |") and f.type.endswith("| str")
+    )
+
+
+def _check_auto(obj, checks: tuple, where: str) -> None:
+    """Raise :class:`ValueError` unless each field from
+    :func:`_auto_checks` holds an int (not a bool), :data:`AUTO` or,
+    where nullable, None. The other scalars are checked by
+    :func:`~repro.workloads.profiles.check_scalars`."""
+    for name, nullable in checks:
+        value = getattr(obj, name)
+        if type(value) is int or value == AUTO or (
+            nullable and value is None
+        ):
+            continue
+        null = ", null" if nullable else ""
+        raise ValueError(
+            f"{where}{name}: expected an integer{null} or {AUTO!r}, "
+            f"got {value!r}"
+        )
+
 
 def _check_known(d: dict, cls, what: str) -> None:
     known = {f.name for f in fields(cls)}
@@ -98,17 +132,16 @@ class LevelSpec:
     ports: int | str = AUTO
 
     def __post_init__(self):
+        check_scalars(self, _LEVEL_CHECKS)
+        _check_auto(self, _LEVEL_AUTO, f"{self.name}.")
         if self.assoc < 1:
             raise ValueError(f"{self.name}: assoc must be >= 1")
         if self.banks < 0:
             raise ValueError(f"{self.name}: banks must be >= 0")
-        for fname in ("capacity_bytes", "hit_latency", "mshrs", "ports"):
-            v = getattr(self, fname)
-            if isinstance(v, str) and v != AUTO:
-                raise ValueError(
-                    f"{self.name}.{fname}: expected an integer or "
-                    f"{AUTO!r}, got {v!r}"
-                )
+        # outer levels resolve to 0 ports (unenforced); the L1 needs one,
+        # which validate_resolved checks
+        if self.ports != AUTO and self.ports < 0:
+            raise ValueError(f"{self.name}: ports must be >= 0")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -119,6 +152,12 @@ class LevelSpec:
             raise ValueError(f"level spec must be a mapping, got {d!r}")
         _check_known(d, cls, "memory level")
         return cls(**d)
+
+
+#: a float, bool or null in a count would fail while the machine is
+#: built, or run as the int it stands for under a cache key of its own
+_LEVEL_CHECKS = scalar_checks(LevelSpec, {"name", "assoc", "banks", "shared"})
+_LEVEL_AUTO = _auto_checks(LevelSpec)
 
 
 @dataclass(frozen=True)
@@ -134,6 +173,8 @@ class InterconnectSpec:
     policy: str = "fifo"
 
     def __post_init__(self):
+        check_scalars(self, _INTERCONNECT_CHECKS)
+        _check_auto(self, _INTERCONNECT_AUTO, "interconnect.")
         if self.kind != "bus":
             raise ValueError(
                 f"unknown interconnect kind {self.kind!r}"
@@ -157,6 +198,10 @@ class InterconnectSpec:
         return cls(**d)
 
 
+_INTERCONNECT_CHECKS = scalar_checks(InterconnectSpec, {"kind", "policy"})
+_INTERCONNECT_AUTO = _auto_checks(InterconnectSpec)
+
+
 @dataclass(frozen=True)
 class PrefetchSpec:
     """Optional hardware prefetcher in front of the L1 miss path.
@@ -171,6 +216,7 @@ class PrefetchSpec:
     degree: int = 1
 
     def __post_init__(self):
+        check_scalars(self, _PREFETCH_CHECKS)
         if self.kind not in PREFETCH_KINDS:
             raise ValueError(
                 f"unknown prefetcher kind {self.kind!r}"
@@ -191,6 +237,9 @@ class PrefetchSpec:
         return cls(**d)
 
 
+_PREFETCH_CHECKS = scalar_checks(PrefetchSpec)
+
+
 @dataclass(frozen=True)
 class MemSpec:
     """The whole memory hierarchy, declaratively."""
@@ -207,6 +256,8 @@ class MemSpec:
     memory_latency: int | str = AUTO
 
     def __post_init__(self):
+        check_scalars(self, _MEM_CHECKS)
+        _check_auto(self, _MEM_AUTO, "")
         if not self.levels:
             raise ValueError("memory hierarchy needs at least one level")
         if isinstance(self.levels, list):
@@ -224,14 +275,6 @@ class MemSpec:
             if lvl.name in seen:
                 raise ValueError(f"duplicate level name {lvl.name!r}")
             seen.add(lvl.name)
-        if (
-            isinstance(self.memory_latency, str)
-            and self.memory_latency != AUTO
-        ):
-            raise ValueError(
-                f"memory_latency: expected an integer or {AUTO!r}, "
-                f"got {self.memory_latency!r}"
-            )
 
     # -- resolution ------------------------------------------------------------
 
@@ -369,7 +412,7 @@ class MemSpec:
         if not isinstance(levels, (list, tuple)) or not levels:
             raise ValueError("memory spec needs a non-empty 'levels' list")
         return cls(
-            name=str(d.get("name", "custom")),
+            name=d.get("name", "custom"),
             levels=tuple(LevelSpec.from_dict(lvl) for lvl in levels),
             interconnect=InterconnectSpec.from_dict(
                 d.get("interconnect") or {}
@@ -443,6 +486,10 @@ class MemSpec:
             self, name=named,
             **{part: replace(getattr(self, part), **{attr: value})},
         )
+
+
+_MEM_CHECKS = scalar_checks(MemSpec, {"name"})
+_MEM_AUTO = _auto_checks(MemSpec)
 
 
 # -- presets -----------------------------------------------------------------

@@ -27,6 +27,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import MachineConfig
 from repro.engine import Counters, RouterSpec, RunSpec
 from repro.engine.backends import Backend, get_backend, register_backend
+from repro.memory.spec import (
+    InterconnectSpec,
+    LevelSpec,
+    PrefetchSpec,
+    mem_preset,
+)
 from repro.service import JobStore, SimService, parse_job_request
 from repro.service.jobs import Job
 from repro.service.server import MAX_HEADER_LINES, _BadRequest
@@ -65,6 +71,12 @@ def mutated(doc, path, value):
 #: dict
 ENTRY = ("workload", "threads", 0, 0)
 PROFILE = ENTRY + ("profile",)
+
+
+def mem_doc(preset, path, value):
+    """A memory preset's document with the field at ``path`` set to
+    ``value``."""
+    return mutated(mem_preset(preset).to_dict(), path, value)
 
 #: spec mutations a job could only fail on (or run as something else)
 UNRUNNABLE = {
@@ -113,6 +125,24 @@ UNRUNNABLE = {
            ("fetch_threads", -1), ("ap_latency", -5), ("ep_latency", -1),
            ("iq_size", 2.5), ("salt_stream_bytes", -1), ("ap_width", True),
            ("mshrs", True), ("l1_ports", True),
+       ]},
+    # memory hierarchies: each failed while the machine was built, or ran
+    # as the int (or bool) it stands for under a cache key of its own
+    **{f"mem_{preset}_{'.'.join(map(str, path))}={value!r}":
+       (("mem",), mem_doc(preset, path, value))
+       for preset, path, value in [
+           ("stream", ("prefetch", "degree"), 1.5),
+           ("nextline", ("prefetch", "degree"), 1.5),
+           ("l2_finite", ("levels", 1, "banks"), 1.5),
+           *(("l2_finite", path, True) for path in (
+               ("levels", 0, "mshrs"), ("interconnect", "bytes_per_cycle"),
+               ("levels", 1, "banks"), ("levels", 1, "assoc"),
+               ("memory_latency",))),
+           ("stream", ("prefetch", "degree"), True),
+           *(("l2_finite", ("levels", 1, "shared"), value)
+             for value in (None, 0, "x")),
+           ("l2_finite", ("levels", 1, "name"), 1.5),
+           ("l2_finite", ("levels", 1, "ports"), -1),
        ]},
 }
 
@@ -225,6 +255,51 @@ class TestWire:
         except WireError:
             return
         req.specs[0].instantiate()
+
+    #: a finite L2 and a prefetcher, so every level, interconnect and
+    #: prefetch field reaches the machine
+    MEM_FUZZ_BASE = RunSpec.from_workload(
+        WorkloadSpec.single("su2cor", seg_instrs=2000), scale=0.05,
+        backend="analytic",
+        mem=mem_preset("l2_finite").override("prefetch_kind", "stream"),
+    )
+    MEM_FUZZ_PATHS = [("mem", "name"), ("mem", "memory_latency")] + [
+        ("mem", "levels", i, f.name) for i in (0, 1)
+        for f in fields(LevelSpec)
+    ] + [("mem", "interconnect", f.name) for f in fields(InterconnectSpec)] + [
+        ("mem", "prefetch", f.name) for f in fields(PrefetchSpec)
+    ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        path=st.sampled_from(MEM_FUZZ_PATHS),
+        value=st.one_of(
+            st.none(), st.booleans(), st.integers(min_value=-2, max_value=64),
+            st.floats(min_value=-2, max_value=64),
+            st.sampled_from([math.nan, math.inf, "auto", "L1"]),
+            st.text(max_size=4),
+        ),
+    )
+    def test_fuzzed_mem_scalar_is_refused_or_runnable(self, path, value):
+        """Any one memory-hierarchy scalar replaced by a JSON scalar: the
+        wire refuses the spec, or its machine builds and every count it
+        holds is an int, not a bool or a float."""
+        doc = mutated(self.MEM_FUZZ_BASE.to_dict(), path, value)
+        try:
+            req = parse_job_request(json.dumps({"spec": doc}).encode())
+        except WireError:
+            return
+        spec = req.specs[0]
+        spec.instantiate()
+        mem = spec.machine_config().memory()
+        counts = [mem.memory_latency, mem.interconnect.bytes_per_cycle,
+                  mem.prefetch.degree]
+        for lvl in mem.levels:
+            counts += [lvl.assoc, lvl.hit_latency, lvl.banks, lvl.ports]
+            counts += [v for v in (lvl.capacity_bytes, lvl.mshrs)
+                       if v is not None]
+        assert all(type(v) is int for v in counts), counts
+        assert all(type(lvl.shared) is bool for lvl in mem.levels)
 
     def test_rejects_non_string_label(self):
         body = json.dumps({"spec": fast_spec().to_dict(), "label": 7})
