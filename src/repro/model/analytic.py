@@ -4,9 +4,9 @@ Predicts IPC, perceived load-miss latency, bus utilization and the
 per-unit issue-slot breakdown for one :class:`~repro.engine.spec.RunSpec`
 from a timing-free workload characterization
 (:mod:`repro.model.charwalk`) plus the machine configuration — in
-milliseconds per run instead of the cycle kernel's seconds (about 1 ms
-per 1-thread spec and 2-4 ms per 4-thread spec at ``REPRO_SCALE=0.1``,
-traces already built, on a 2-vCPU x86 host).
+under a millisecond per run instead of the cycle kernel's seconds
+(0.38-0.39 ms per 1-thread spec and 0.71-0.83 ms per 4-thread spec at
+``REPRO_SCALE=0.1``, walks already built, on a 2-vCPU x86 host).
 
 The model is a damped fixed point over aggregate useful IPC ``x``:
 
@@ -277,7 +277,6 @@ def solve(spec, cfg, char: WorkloadCharacter) -> AnalyticSolution:
     )
     c_br = mp * CAL["BR_PENALTY"]
     mshrs = l0.mshrs if phi > 0 else None
-    keep = 1.0 - _DAMP
 
     for _ in range(_MAX_ITER):
         x_t = x / T
@@ -322,7 +321,7 @@ def solve(spec, cfg, char: WorkloadCharacter) -> AnalyticSolution:
         if abs(x_new - x) < _TOL:
             x = x_new
             break
-        x = keep * x + _DAMP * x_new
+        x = (1.0 - _DAMP) * x + _DAMP * x_new
 
     # merged secondary misses at the last iterate's window; stores drain
     # post-commit and never block the window, so theirs is uncapped
