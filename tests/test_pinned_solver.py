@@ -10,6 +10,12 @@ walk is integer arithmetic (its numpy path is equality-tested against
 the interpreter), so the digest does not depend on the platform or on
 whether numpy is installed.
 
+The walk has a digest of its own: a sha256 over the ``repr()`` of the
+:class:`~repro.model.charwalk.WorkloadCharacter` of every grid spec
+and of five more shapes at scale 1.0 (:func:`walk_shapes`), so a
+rewritten walk must reproduce every count and every reuse bucket, not
+only what the solver makes of them.
+
 A restructured solver must keep every floating-point operation in its
 order and every iteration's exit test, so it reproduces the digest.
 A change that moves results on purpose records a new digest together
@@ -26,6 +32,7 @@ from repro.memory.spec import mem_preset, mem_preset_names
 from repro.model import analytic
 from repro.model.analytic import AnalyticSolution, _synthesize_stats
 from repro.model.charwalk import characterize
+from repro.workloads.spec import workload_preset
 
 SCALE = 0.05
 LATENCIES = (1, 16, 96, 256, 1000)
@@ -40,6 +47,7 @@ OVERRIDES = (
 SINGLES = ("swim", "su2cor", "fpppp")
 
 DIGEST = "011d6a05bd139c7fa518c17fc59fb990479fa4d388625c28707fbd9541011bd8"
+WALK_DIGEST = "a7bbf2e520796e1c2ce47c31fd60b27b840517a0d284e1b7641735ecf9be8a15"
 
 
 def grid() -> list[RunSpec]:
@@ -71,6 +79,32 @@ def grid() -> list[RunSpec]:
     return specs
 
 
+def walk_shapes() -> list[RunSpec]:
+    """Five walks at scale 1.0 beyond the grid: two single-benchmark
+    runs, a 4-thread rotation with per-thread budgets, the ``thrash4``
+    preset and a single run built with ``warmup=0`` (which resolves to
+    the workload's default warm-up)."""
+    return [
+        RunSpec.single("su2cor", l2_latency=256, commits=4_000,
+                       warmup=2_000, scale=1.0),
+        RunSpec.single("tomcatv", l2_latency=16, commits=4_000,
+                       warmup=2_000, scale=1.0),
+        RunSpec.multiprogrammed(4, l2_latency=16, commits_per_thread=2_000,
+                                warmup_per_thread=1_000, scale=1.0),
+        RunSpec.from_workload(workload_preset("thrash4"), l2_latency=64,
+                              commits=3_000, warmup=1_000, scale=1.0),
+        RunSpec.single("su2cor", l2_latency=16, commits=3_000, warmup=0,
+                       scale=1.0),
+    ]
+
+
+def walk_digest(specs) -> str:
+    h = hashlib.sha256()
+    for spec in specs:
+        h.update(repr(characterize(spec, spec.machine_config())).encode())
+    return h.hexdigest()
+
+
 def solver_digest(specs) -> str:
     h = hashlib.sha256()
     for spec in specs:
@@ -91,3 +125,7 @@ def test_grid_shape():
 
 def test_solver_is_pinned():
     assert solver_digest(grid()) == DIGEST
+
+
+def test_walks_are_pinned():
+    assert walk_digest(grid() + walk_shapes()) == WALK_DIGEST
