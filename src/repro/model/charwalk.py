@@ -195,17 +195,6 @@ def _characterize(key: tuple) -> WorkloadCharacter:
         salt_stream, salt_store, salt_hot,
     ) = key
     assert isinstance(workload, WorkloadSpec)
-    # the numpy-vectorized walk handles the classic geometry (infinite
-    # outer levels, no prefetcher) ~an order of magnitude faster and is
-    # equality-tested against this interpreter; exotic geometries and
-    # numpy-free installs take the loop below
-    from repro.model import charwalk_np
-
-    if (warm_pt + meas_pt) > 0 and charwalk_np.eligible(geometry):
-        return charwalk_np.characterize_np(
-            workload, seed, meas_pt, warm_pt, geometry, line_bytes,
-            bht_entries, salt_stream, salt_store, salt_hot,
-        )
     n_threads = workload.n_threads
     playlists = workload.playlists(seed=seed)
     profiles = workload.profiles()

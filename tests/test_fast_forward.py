@@ -189,8 +189,7 @@ class TestPartialIdleWindows:
 class TestRandomizedPartialIdle:
     """Seeded-random partial-idle scenarios over exotic hierarchies: a
     finite banked L2, a stream prefetcher, split per-thread L1 slices and
-    mixed decoupled/unified machines (run in CI also without numpy — the
-    fallback-paths job)."""
+    mixed decoupled/unified machines."""
 
     @pytest.mark.parametrize("draw", [0, 1, 2, 3])
     def test_bit_identical(self, draw):

@@ -6,9 +6,8 @@ perceived latency would slip past both.  This digest does not: it is a
 sha256 over the ``repr()`` of every :class:`AnalyticSolution` slot and
 over the synthesized stats' ``to_dict()``, spec by spec.  The solver
 uses only ``+ - * /``, ``min`` and ``max``, and the characterization
-walk is integer arithmetic (its numpy path is equality-tested against
-the interpreter), so the digest does not depend on the platform or on
-whether numpy is installed.
+walk is integer arithmetic, so the digest does not depend on the
+platform.
 
 The walk has a digest of its own: a sha256 over the ``repr()`` of the
 :class:`~repro.model.charwalk.WorkloadCharacter` of every grid spec
