@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from repro.memo import Memoized
 from repro.memory.spec import MemSpec
 from repro.workloads.profiles import check_scalars, scalar_checks
 
 
 @dataclass(frozen=True)
-class MachineConfig:
+class MachineConfig(Memoized):
     """Microarchitecture parameters (paper Figure 2 defaults)."""
 
     # -- contexts / mode --------------------------------------------------------
@@ -123,8 +124,11 @@ class MachineConfig:
     def memory(self) -> MemSpec:
         """The fully-resolved memory hierarchy this machine runs on:
         :attr:`mem` (or the classic default spec) with every ``AUTO``
-        field bound to this config's scalars."""
-        return (self.mem or MemSpec()).resolve(self)
+        field bound to this config's scalars. Resolved once per object:
+        the analytic backend asks for it three times per run."""
+        return self._memo(
+            "_memory", lambda: (self.mem or MemSpec()).resolve(self)
+        )
 
     def scaled_for_latency(self, l2_latency: int) -> "MachineConfig":
         """Scale latency-hiding resources proportionally to the L2 latency

@@ -1,11 +1,13 @@
 """Per-object memos for the frozen spec dataclasses.
 
 :class:`~repro.workloads.profiles.BenchProfile`,
-:class:`~repro.workloads.spec.WorkloadSpec` and
-:class:`~repro.engine.spec.RunSpec` are frozen, so a value derived from
-their fields can never go stale: each computes its identity (a profile's
-field mapping, a workload's hash, a run's content keys) at most once per
-object.  Two rules keep the memos invisible:
+:class:`~repro.workloads.spec.WorkloadSpec`,
+:class:`~repro.engine.spec.RunSpec` and
+:class:`~repro.core.config.MachineConfig` are frozen, so a value derived
+from their fields can never go stale: each computes its identity (a
+profile's field mapping, a workload's hash, a run's content keys) or a
+machine's resolved memory hierarchy at most once per object.  Two rules
+keep the memos invisible:
 
 * a memo lives in the instance ``__dict__`` under a name that is not a
   field, so ``==``, ``repr``, ``dataclasses.fields``/``asdict`` and
