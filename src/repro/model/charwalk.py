@@ -239,6 +239,12 @@ def _characterize(key: tuple) -> WorkloadCharacter:
     salt_region = [by_region for _default, by_region in salted]
     play_idx = [0] * n_threads
     pos = [0] * n_threads
+    # each thread's current trace, its instruction list and its length,
+    # switched on a playlist wrap, so a step indexes the list directly
+    # instead of calling Trace.__getitem__ and __len__
+    traces = [pl[0] for pl in playlists]
+    insts = [trace._insts for trace in traces]
+    lens = [len(trace_insts) for trace_insts in insts]
     ticks = [0] * n_threads          # per-thread instruction counters
 
     counts = dict(
@@ -313,13 +319,16 @@ def _characterize(key: tuple) -> WorkloadCharacter:
             for l1 in l1s:
                 l1.prefetched = bytearray(l1.n_sets)
         for t in range(n_threads):
-            pl = playlists[t]
-            trace = pl[play_idx[t]]
-            s = trace[pos[t]]
+            trace = traces[t]
+            s = insts[t][pos[t]]
             pos[t] += 1
-            if pos[t] >= len(trace):
+            if pos[t] >= lens[t]:
+                pl = playlists[t]
                 play_idx[t] = (play_idx[t] + 1) % len(pl)
                 pos[t] = 0
+                traces[t] = pl[play_idx[t]]
+                insts[t] = traces[t]._insts
+                lens[t] = len(insts[t])
             ticks[t] += 1
             op = s.op
             if measuring:
