@@ -8,7 +8,8 @@ router") plus the headline economics:
 2. the number of cycle executions respects ``--promote-budget``;
 3. the cycle fraction stays at or under the budget cap (<= 20% of the
    grid) and hybrid beats pure cycle by ``ROUTER_SMOKE_MIN_SPEEDUP``
-   (default 3x; local acceptance runs see ~6x).
+   (default 3x; a 2-vCPU x86 host measured 7.6-8.0x at
+   ``REPRO_SCALE=0.2``).
 
 Both phases run from cold caches in the same process so the comparison
 is apples-to-apples. Cells use the paper's full commit budgets, so
