@@ -1,101 +1,47 @@
-"""Vectorized charwalk: eligibility gating and exact equality.
+"""Characterization walk: each of five shapes pinned on its own.
 
-``model/charwalk_np.py`` re-derives the interpreted characterization walk
-with closed-form array operations; the two must produce **equal**
-:class:`~repro.model.charwalk.WorkloadCharacter` objects — every count,
-every reuse bucket — on every geometry the vectorized path claims.
-Geometries it cannot model (finite/partitioned outer levels, prefetchers)
-and a missing numpy must select the interpreter.
+The walk once had a numpy re-derivation (``model/charwalk_np.py``) that
+was equality-tested against the interpreted walk on these five shapes
+(:func:`test_pinned_solver.walk_shapes`).  The interpreted walk is now
+the only walk; each shape's :class:`~repro.model.charwalk.WorkloadCharacter`
+must still equal the one both walks produced, pinned here as a sha256
+over its ``repr()``.  ``test_walks_are_pinned`` covers the same shapes
+inside one digest over the whole grid; this suite names the shape that
+moved and prints its character.
 """
 
-from dataclasses import fields
+import hashlib
 
 import pytest
+from test_pinned_solver import walk_shapes
 
-np = pytest.importorskip("numpy")
+from repro.model.charwalk import characterize
 
-from repro.core.config import MachineConfig  # noqa: E402
-from repro.engine.spec import RunSpec  # noqa: E402
-from repro.memory.spec import mem_preset  # noqa: E402
-from repro.model import charwalk_np  # noqa: E402
-from repro.model.charwalk import _characterize, character_key  # noqa: E402
-from repro.workloads.spec import workload_preset  # noqa: E402
-
-
-def both_walks(spec, monkeypatch):
-    """(interpreted, vectorized) characters of one run spec."""
-    proc, _ = spec.instantiate()
-    key = character_key(spec, proc.cfg)
-    vec = _characterize.__wrapped__(key)
-    with monkeypatch.context() as m:
-        m.setattr(charwalk_np, "np", None)
-        pure = _characterize.__wrapped__(key)
-    return pure, vec
+#: sha256 of each shape's character ``repr()``, in walk_shapes() order
+CHARACTERS = {
+    "su2cor_1T":
+        "a4cfacfa0922c8232a71ea22d78d5f4d9466233ceeccb89f0c5bf5708622e7d3",
+    "tomcatv_1T":
+        "ecb4c62e64bd997f792b38595929ecf17992809378ec839a34dc0baedb91f53a",
+    "mp_4T":
+        "09b8347ff5c46a3801b10987b412f89f65e7ee22627ed0e4001f81063257d823",
+    "thrash4":
+        "188e5fb96f29e1dab9c44afc556a519d0a62b42d0e56e952351be2cdcf17c978",
+    "no_warmup":
+        "f29922cf52d183f554bb473b36a40085cb98d99780c8608233239ead000d37ec",
+}
 
 
-class TestEligibility:
-    def test_classic_geometry_is_eligible(self):
-        geo = mem_preset("classic").resolve(MachineConfig()).geometry()
-        assert charwalk_np.eligible(geo) is True
-
-    @pytest.mark.parametrize(
-        "preset", ["l2_finite", "l2_small", "l2_partitioned",
-                   "nextline", "stream"],
-    )
-    def test_exotic_geometries_fall_back(self, preset):
-        geo = mem_preset(preset).resolve(MachineConfig()).geometry()
-        assert charwalk_np.eligible(geo) is False
-
-    def test_missing_numpy_falls_back(self, monkeypatch):
-        geo = mem_preset("classic").resolve(MachineConfig()).geometry()
-        monkeypatch.setattr(charwalk_np, "np", None)
-        assert charwalk_np.eligible(geo) is False
+def test_shape_names_follow_walk_shapes():
+    assert len(walk_shapes()) == len(CHARACTERS)
 
 
 class TestEquality:
-    SPECS = [
-        ("su2cor_1T", lambda: RunSpec.single(
-            "su2cor", l2_latency=256, commits=4_000, warmup=2_000)),
-        ("tomcatv_1T", lambda: RunSpec.single(
-            "tomcatv", l2_latency=16, commits=4_000, warmup=2_000)),
-        ("mp_4T", lambda: RunSpec.multiprogrammed(
-            4, l2_latency=16, commits_per_thread=2_000,
-            warmup_per_thread=1_000)),
-        ("thrash4", lambda: RunSpec.from_workload(
-            workload_preset("thrash4"), l2_latency=64,
-            commits=3_000, warmup=1_000)),
-        ("no_warmup", lambda: RunSpec.single(
-            "su2cor", l2_latency=16, commits=3_000, warmup=0)),
-    ]
-
     @pytest.mark.parametrize(
-        "build", [b for _, b in SPECS], ids=[n for n, _ in SPECS],
+        "index, name", enumerate(CHARACTERS), ids=list(CHARACTERS),
     )
-    def test_characters_equal(self, build, monkeypatch):
-        pure, vec = both_walks(build(), monkeypatch)
-        if pure != vec:
-            diffs = [
-                f"{f.name}: pure={getattr(pure, f.name)!r} "
-                f"vec={getattr(vec, f.name)!r}"
-                for f in fields(pure)
-                if getattr(pure, f.name) != getattr(vec, f.name)
-            ]
-            pytest.fail("character mismatch:\n" + "\n".join(diffs))
-
-    def test_vectorized_path_actually_dispatches(self, monkeypatch):
-        """Guard against the gate silently sending everything to the
-        interpreter: the dispatcher must call characterize_np."""
-        spec = RunSpec.single("su2cor", l2_latency=16,
-                              commits=2_000, warmup=500)
-        proc, _ = spec.instantiate()
-        key = character_key(spec, proc.cfg)
-        called = {}
-        real = charwalk_np.characterize_np
-
-        def spy(*a, **kw):
-            called["yes"] = True
-            return real(*a, **kw)
-
-        monkeypatch.setattr(charwalk_np, "characterize_np", spy)
-        _characterize.__wrapped__(key)
-        assert called.get("yes") is True
+    def test_characters_equal(self, index, name):
+        spec = walk_shapes()[index]
+        text = repr(characterize(spec, spec.machine_config()))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == CHARACTERS[name], f"{name} walks to {text}"
