@@ -13,6 +13,7 @@ The hard guarantees gated here:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -343,6 +344,14 @@ class TestHybridRouting:
         assert events.count("screened") == res.n_screened
         assert events.count("promoted") == res.n_promoted
 
+    def test_unset_and_default_router_run_each_sub_spec_once(self):
+        # both specs route in the default group and retarget to the same
+        # analytic spec (and cycle spec), which must run only once
+        specs = [fast_spec(), fast_spec(router=RouterSpec())]
+        res = Engine.serial().map(specs)
+        assert (res.n_screened, res.n_promoted) == (1, 1)
+        assert (res.n_executed, res.n_cached) == (2, 0)
+
     def test_mixed_batch_routes_only_hybrid_specs(self):
         plain = fast_spec(backend="analytic", l2_latency=32)
         specs = [plain] + hybrid_grid(latencies=(16, 64), modes=(True,))
@@ -377,10 +386,22 @@ class TestRoutingDeterminism:
             ],
         }
 
-    def test_serial_vs_parallel(self):
-        specs = hybrid_grid()
+    def test_serial_vs_parallel(self, monkeypatch):
+        from repro.engine import scheduler
+
+        pools, real = [], scheduler.ProcessPoolExecutor
+
+        def spy(max_workers):
+            pools.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", spy)
+        # three promoted cells: a single pool-worthy task would run
+        # in-process, and the comparison would be serial against serial
+        specs = hybrid_grid(router=RouterSpec(promote_budget=3))
         serial = Engine(workers=1, cache=None).map(specs)
         parallel = Engine(workers=2, cache=None).map(specs)
+        assert pools == [2]
         assert self._doc(serial, specs) == self._doc(parallel, specs)
 
     def test_warm_vs_cold_cache(self, tmp_path):
@@ -400,6 +421,89 @@ class TestRoutingDeterminism:
         first = engine.map(specs)
         second = engine.map(specs)
         assert self._doc(first, specs) == self._doc(second, specs)
+
+
+def _routed_doc(specs, warm=False, sort_events=False, **engine_kw) -> dict:
+    """Everything a map exposes: results, provenance, counters, events."""
+    if warm:  # a first engine fills the cache that the measured one reads
+        Engine(**engine_kw).map(specs)
+    events: list = []
+    res = Engine(
+        progress=lambda ev, s: events.append([ev, s.key()]), **engine_kw
+    ).map(specs)
+    return {
+        "runs": [[s.key(), stats.to_dict()] for s, stats in res.items()],
+        "router": [[s.key(), prov] for s, prov in res.router.items()],
+        "counters": res.counters.to_dict(),
+        "events": sorted(events) if sort_events else events,
+    }
+
+
+def _run_doc(tmp) -> dict:
+    events: list = []
+    engine = Engine.serial()
+    engine.progress = lambda ev, s: events.append([ev, s.key()])
+    spec = fast_spec()
+    return {
+        "runs": [[spec.key(), engine.run(spec).to_dict()]],
+        "counters": engine.counters.to_dict(),
+        "events": events,
+    }
+
+
+#: name -> (the scenario's document from a tmp dir, its sha256)
+PINNED_ROUTING = {
+    "serial": (
+        lambda tmp: _routed_doc(hybrid_grid(), workers=1, cache=None),
+        "c62ae26f1c092a4cd4fde8d7d3138ac11a5b0bff1f78b0ca963e5cd6c445a41d"),
+    # completion order decides the event order in a pool
+    "two_workers": (
+        lambda tmp: _routed_doc(
+            hybrid_grid(router=RouterSpec(promote_budget=3)),
+            sort_events=True, workers=2, cache=None),
+        "b3846233fe66dd20f0a3e3c9c145e0bd9db4fdf45a632475c8edfc7738dcfe0e"),
+    "cold_cache": (
+        lambda tmp: _routed_doc(
+            hybrid_grid(), workers=1, cache=ResultCache(tmp)),
+        "c62ae26f1c092a4cd4fde8d7d3138ac11a5b0bff1f78b0ca963e5cd6c445a41d"),
+    "warm_cache": (
+        lambda tmp: _routed_doc(
+            hybrid_grid(), warm=True, workers=1, cache=ResultCache(tmp)),
+        "e469cf4a2dda81eecc85072d210991332c24fce192355398e8a908a331df3a79"),
+    "two_groups": (
+        lambda tmp: _routed_doc(
+            hybrid_grid() + hybrid_grid(router=RouterSpec(promote_budget=2)),
+            workers=1, cache=None),
+        "0ee550c3d147ca817991cd0a48cfc97de68f398009e3a8ee1b48a4388f930eae"),
+    # the plain specs are twins of two routed sub-specs (memo hits), and
+    # promoted cells that differ only in their budget fork
+    "mixed_forked": (
+        lambda tmp: _routed_doc(
+            [fast_spec(backend="analytic"), fast_spec(backend="cycle")]
+            + hybrid_grid(latencies=(16, 256), commits_per_thread=[1500, 3000],
+                          router=RouterSpec(promote_budget=5)),
+            workers=1, cache=None, fork_warmup=2),
+        "7dcb0355b7e30384c137714c8080a890948a8e41e9a410fad63258ae777198f1"),
+    "engine_run": (
+        _run_doc,
+        "3e04f8e99840eb921e0ff20d6b008480ca322d283c8d347cb2d85a9fe7c7990c"),
+    "execute": (
+        lambda tmp: {"runs": fast_spec().execute().to_dict()},
+        "ef6954f42746cccd8df189fe067c8fe01d8ba013b6c628056722fb79b112d8a9"),
+}
+
+
+class TestPinnedRouting:
+    """A sha256 per routing scenario over every result's ``to_dict()``,
+    the provenance, the counters and the progress events: routing
+    refactors must leave each one where it is."""
+
+    @pytest.mark.parametrize("name", list(PINNED_ROUTING))
+    def test_routing_is_pinned(self, name, tmp_path):
+        build, pinned = PINNED_ROUTING[name]
+        text = json.dumps(build(tmp_path), sort_keys=True)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == pinned, f"{name} routes to {text[:2000]}"
 
 
 # -- CLI --------------------------------------------------------------------------
