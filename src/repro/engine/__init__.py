@@ -1,7 +1,7 @@
 """Declarative experiment engine.
 
 The engine decouples *describing* an experiment from *executing* it — the
-same split the paper applies to the processor pipeline. Three layers:
+same split the paper applies to the processor pipeline. Four layers:
 
 * **Spec** (:mod:`repro.engine.spec`) — :class:`RunSpec` is a frozen,
   hashable description of one simulation (workload + config overrides +
@@ -11,7 +11,8 @@ same split the paper applies to the processor pipeline. Three layers:
   batch of specs as tasks through one executor loop (a process pool, or
   this process for one worker) and returns results keyed by spec, in
   submission order regardless of completion order, with one
-  :class:`Counters` record of how they were produced.
+  :class:`Counters` record of how they were produced. Its ``"hybrid"``
+  specs are routed as one grid (:func:`repro.router.hybrid.route_grid`).
 * **Persistence** (:mod:`repro.engine.cache`) — :class:`ResultCache` is a
   content-addressed on-disk store keyed by :meth:`RunSpec.key`, so reruns
   and interrupted sweeps resume for free.
@@ -20,8 +21,9 @@ same split the paper applies to the processor pipeline. Three layers:
   cycle-accurate kernel), ``"analytic"`` (the mean-value fast model in
   :mod:`repro.model`) and ``"hybrid"`` (the multi-fidelity router in
   :mod:`repro.router`: analytic screens with calibrated error bars,
-  cycle verifies the cells that matter). The name is part of the spec's
-  content hash, so the cache never mixes backends.
+  cycle verifies the cells that matter, both through the engine's
+  lookup step). The name is part of the spec's content hash, so the
+  cache never mixes backends.
 
 Typical driver::
 

@@ -10,10 +10,12 @@ A *backend* turns a :class:`~repro.engine.spec.RunSpec` into a
   against ``"cycle"`` by the differential conformance suite
   (``repro-sim conformance``).
 
-A third, ``"hybrid"`` (:mod:`repro.router.hybrid`), is a grid-routing
-*meta*-backend over the other two: it screens every cell analytically
-with calibrated error bars and promotes only the cells that matter to
-the cycle kernel (see :attr:`Backend.routes_grids`).
+A third name, ``"hybrid"`` (:mod:`repro.router.hybrid`), routes a grid
+over the other two: it screens every cell analytically with calibrated
+error bars and promotes only the cells that matter to the cycle kernel.
+:meth:`Engine.map <repro.engine.scheduler.Engine.map>` recognises hybrid
+specs by name and routes them as one batch; the registry entry lets the
+CLI, the wire and :meth:`RunSpec.execute` resolve the name.
 
 The backend name is part of every spec — and therefore of its content hash
 — so the result cache can never serve one backend's numbers to the other.
@@ -53,12 +55,6 @@ class Backend:
     #: whether shipping a run to a worker process can ever pay off (and
     #: the worker can resolve this backend by name — see class docstring)
     process_pool_worthwhile = False
-    #: a grid-routing meta-backend (the multi-fidelity router): the
-    #: scheduler hands its specs to :func:`repro.router.hybrid.route_grid`
-    #: as one batch instead of executing them cell by cell, because its
-    #: decisions (which cells deserve cycle fidelity) are functions of
-    #: the *whole* grid, not of any single spec
-    routes_grids = False
 
     def run(self, spec: "RunSpec") -> SimStats:
         raise NotImplementedError

@@ -5,6 +5,10 @@
 in-memory memo and the on-disk cache, runs the misses, and returns a
 :class:`SweepResult` keyed by spec in *submission* order, regardless of
 completion order, so results are byte-identical for any worker count.
+That lookup step is :meth:`Engine.resolve`; the batch's ``"hybrid"``
+specs go to :func:`repro.router.hybrid.route_grid` as one grid instead,
+which resolves their analytic screens and promoted cycle cells through
+the same step.
 
 A planner turns the misses into tasks: a *cold* cell; a warm-up group's
 *lead*, which simulates the group's shared warm-up once, snapshots the
@@ -128,8 +132,8 @@ class Counters:
 
     :class:`Engine` keeps lifetime totals in one, and a
     :class:`SweepResult` carries their difference across its ``map``
-    call, nested router maps included.  The sweep JSON, the job counters
-    and ``/metrics`` all serialize it with :meth:`to_dict`.
+    call.  The sweep JSON, the job counters and ``/metrics`` all
+    serialize it with :meth:`to_dict`.
     """
 
     n_cached: int = 0  #: served from the memo or the on-disk cache
@@ -169,13 +173,12 @@ class _ReadsCounters:
 class SweepResult(dict, _ReadsCounters):
     """``RunSpec -> SimStats`` in submission order, plus :attr:`counters`.
 
-    When the batch contained grid-routing specs (the ``"hybrid"``
-    backend), the counters include the routed cells' underlying
-    sub-fidelity runs — a hybrid cell costs one analytic run plus, if
-    promoted, one cycle run, so ``n_cached + n_executed`` may exceed
-    ``n_runs`` — and :attr:`router` maps each routed spec to its routing
-    provenance (``fidelity``, ``reason``, the IPC interval, the error
-    model's content key).
+    When the batch contained ``"hybrid"`` specs, the counters include
+    the routed cells' underlying sub-fidelity runs — a hybrid cell costs
+    one analytic run plus, if promoted, one cycle run, so ``n_cached +
+    n_executed`` may exceed ``n_runs`` — and :attr:`router` maps each
+    routed spec to its routing provenance (``fidelity``, ``reason``, the
+    IPC interval, the error model's content key).
     """
 
     def __init__(self, items, counters: Counters):
@@ -242,11 +245,11 @@ class Engine(_ReadsCounters):
 
     ``progress`` is an optional ``callback(event, spec)`` invoked as each
     result lands — ``event`` is one of ``"cached"``, ``"executed"``,
-    ``"forked"``, or for grid-routed (hybrid) specs ``"screened"`` /
-    ``"promoted"`` — so long-running maps can be observed live (the job
-    server streams these as ``/jobs/{id}/events`` lines).  Callbacks run
-    on the scheduling thread between result arrivals; a raising callback
-    is swallowed, because observability must never corrupt a sweep.
+    ``"forked"``, or for hybrid specs ``"screened"`` / ``"promoted"`` —
+    so long-running maps can be observed live (the job server streams
+    these as ``/jobs/{id}/events`` lines).  Callbacks run on the
+    scheduling thread between result arrivals; a raising callback is
+    swallowed, because observability must never corrupt a sweep.
 
     :attr:`counters` holds the lifetime totals over every ``map`` call
     (``engine.n_cached`` and the other counter names read it).  Calls to
@@ -279,20 +282,37 @@ class Engine(_ReadsCounters):
         before = copy.copy(self.counters)
         unique = list(dict.fromkeys(specs))
         done: dict[RunSpec, SimStats] = {}
-        routed: list[RunSpec] = []
-        misses: list[RunSpec] = []
+        plain: list[RunSpec] = []
+        hybrid: list[RunSpec] = []
         for spec in unique:
-            # Grid-routing backends (the multi-fidelity router) see the
-            # whole batch at once: which cells deserve cycle fidelity is a
-            # function of the grid, not of any single spec.  Routed specs
-            # bypass the memo/cache on purpose — both underlying
-            # fidelities are cached under their own keys, and re-deriving
-            # the routing from them (microseconds) is what keeps warm and
-            # cold hybrid sweeps byte-identical even when the promote
-            # budget changed in between.
-            if get_backend(spec.backend).routes_grids:
-                routed.append(spec)
-                continue
+            (hybrid if spec.backend == "hybrid" else plain).append(spec)
+        self.resolve(plain, done)
+        router: dict[RunSpec, dict] = {}
+        if hybrid:
+            # Hybrid specs are routed as one grid: which cells deserve
+            # cycle fidelity is a function of the grid, not of any single
+            # spec.  They bypass the memo/cache on purpose — both
+            # underlying fidelities are cached under their own keys, and
+            # re-deriving the routing from them (microseconds) is what
+            # keeps warm and cold hybrid sweeps byte-identical even when
+            # the promote budget changed in between.
+            from repro.router.hybrid import route_grid
+
+            router = route_grid(hybrid, self, done)
+        result = SweepResult(
+            ((spec, done[spec]) for spec in unique), self.counters - before
+        )
+        result.router = router
+        return result
+
+    def resolve(
+        self, specs: Iterable[RunSpec], done: dict[RunSpec, SimStats]
+    ) -> None:
+        """Set ``done[spec]`` for each of the distinct ``specs``: from the
+        memo, then the cache, then the executor loop for the misses.
+        Every result is counted and emitted as it lands."""
+        misses: list[RunSpec] = []
+        for spec in specs:
             hit = self._memo.get(spec)
             if hit is None and self.cache is not None:
                 hit = self.cache.get(spec)
@@ -308,18 +328,6 @@ class Engine(_ReadsCounters):
             self._emit("cached", spec)
         if misses:
             self._execute(misses, done)
-        router: dict[RunSpec, dict] = {}
-        if routed:
-            # route_grid maps the sub-fidelity specs through this engine
-            # (nested map calls), so their work lands in self.counters
-            from repro.router.hybrid import route_grid
-
-            router = route_grid(routed, self, done)
-        result = SweepResult(
-            ((spec, done[spec]) for spec in unique), self.counters - before
-        )
-        result.router = router
-        return result
 
     def run(self, spec: RunSpec) -> SimStats:
         """Convenience: one spec through the same memo/cache path."""

@@ -18,9 +18,9 @@ The paper's two run shapes are presets, not kinds:
 :class:`WorkloadSpec` — a named preset, a JSON/TOML file, or one built in
 code — runs through :meth:`RunSpec.from_workload` on either backend.
 
-Budget constants live in :mod:`repro.workloads.spec` (re-exported here
-and by the experiment runners): the measured/warm-up commit counts behind
-every figure in the paper.
+Budget constants live in :mod:`repro.workloads.spec` (re-exported
+here): the measured/warm-up commit counts behind every figure in the
+paper.
 """
 
 from __future__ import annotations
@@ -140,9 +140,8 @@ class RunSpec(Memoized):
     #: to prove two descriptions equivalent.
     mem: MemSpec | None = None
     #: multi-fidelity router configuration (see :mod:`repro.router`);
-    #: only the ``"hybrid"`` backend reads it. ``None`` means the router
-    #: defaults — and is also what rides in retargeted sub-specs, so a
-    #: promoted cell shares its cache entry with a plain cycle run.
+    #: only a ``"hybrid"`` spec may carry one, since no other backend
+    #: reads it. ``None`` means the router defaults on a hybrid spec.
     #: Serialized only when set, keeping every pre-router spec hash (and
     #: therefore the whole cache and golden corpus) stable.
     router: RouterSpec | None = None
@@ -276,6 +275,12 @@ class RunSpec(Memoized):
             raise ValueError(
                 f"router must be a RouterSpec or None, got "
                 f"{type(self.router).__name__}"
+            )
+        if self.router is not None and self.backend != "hybrid":
+            # a router nothing reads would key a second cache entry for
+            # the same simulation
+            raise ValueError(
+                f"router config needs the hybrid backend, not {self.backend!r}"
             )
         check_scalars(self, _CHECKS)
 
@@ -433,10 +438,14 @@ class RunSpec(Memoized):
         return proc, self.run_kwargs()
 
     def with_backend(self, backend: str) -> "RunSpec":
-        """This spec re-targeted at another backend (new cache identity)."""
+        """This spec re-targeted at another backend (new cache identity).
+        A target other than ``"hybrid"`` drops the router config, so the
+        result is the plain spec on that backend and shares its cache
+        entry."""
         if backend == self.backend:
             return self
-        return dataclasses_replace(self, backend=backend)
+        router = self.router if backend == "hybrid" else None
+        return dataclasses_replace(self, backend=backend, router=router)
 
     def execute(self) -> SimStats:
         """Run this spec on its backend (``"cycle"`` runs the staged

@@ -1,12 +1,7 @@
-"""Experiment harness: per-figure drivers, ablations and runners."""
+"""Experiment harness: per-figure drivers and ablations."""
 
 from repro.experiments.ablations import ABLATIONS
 from repro.experiments.figures import FIGURES, LATENCIES, fig1, fig3, fig4, fig5
-from repro.experiments.runner import (
-    run_multiprogrammed,
-    run_single_benchmark,
-    scale_factor,
-)
 
 __all__ = [
     "FIGURES",
@@ -16,7 +11,4 @@ __all__ = [
     "fig3",
     "fig4",
     "fig5",
-    "run_multiprogrammed",
-    "run_single_benchmark",
-    "scale_factor",
 ]

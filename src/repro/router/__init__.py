@@ -1,13 +1,15 @@
 """Multi-fidelity sweep router: analytic screens, cycle verifies.
 
-The ``"hybrid"`` backend (:mod:`repro.router.hybrid`) runs a whole grid
+``Engine.map`` hands a batch's ``"hybrid"`` specs to
+:func:`repro.router.hybrid.route_grid`, which runs the whole grid
 through the analytic fast model, attaches calibrated per-cell error bars
 (:mod:`repro.router.errmodel`, fitted from the committed conformance
 corpus), and promotes only the cells that matter — figure extrema,
 decision boundaries whose ranking flips within the error bar, cells over
 an explicit error budget — to the cycle backend
-(:mod:`repro.router.policies`), through the ordinary engine machinery
-(process pool, ``--fork-warmup``, the content-addressed cache).
+(:mod:`repro.router.policies`).  Both fidelities run through the
+engine's own lookup step, ``Engine.resolve`` (memo, result cache,
+process pool, ``--fork-warmup``).
 
 This module deliberately imports neither the engine nor the pipeline:
 :class:`RouterSpec` rides inside :class:`~repro.engine.spec.RunSpec`, so

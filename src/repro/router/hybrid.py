@@ -1,8 +1,7 @@
 """The ``"hybrid"`` backend: route a grid across two fidelities.
 
-:func:`route_grid` is the subsystem's engine-side entry point, called by
-:meth:`Engine.map <repro.engine.scheduler.Engine.map>` for every spec
-whose backend :attr:`routes_grids`:
+:meth:`Engine.map <repro.engine.scheduler.Engine.map>` hands every spec
+whose backend is ``"hybrid"`` to :func:`route_grid` as one batch:
 
 1. the whole grid runs on the **analytic** backend (in-process,
    milliseconds per cell, results cached under the analytic specs' own
@@ -11,11 +10,13 @@ whose backend :attr:`routes_grids`:
    calibrated IPC interval to every cell;
 3. the promotion policies (:mod:`repro.router.policies`) pick the subset
    worth cycle fidelity, capped by the promote budget;
-4. the promoted cells run on the **cycle** backend through the very same
+4. the promoted cells run on the **cycle** backend through the same
    engine — process pool, ``fork_warmup``, result cache all apply — and
    their stats pass through *untouched*, so a promoted cell is
    byte-identical to a pure-cycle run of the same spec.
 
+Steps 1 and 4 go through :meth:`Engine.resolve
+<repro.engine.scheduler.Engine.resolve>`, the lookup step of every map.
 Screened cells return the analytic stats annotated with
 ``fidelity="analytic"`` and the interval (``ipc_lo``/``ipc_hi``).
 Hybrid results are deliberately **not** cached under the hybrid spec's
@@ -26,7 +27,6 @@ byte-identical even when the promote budget changes between runs.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.engine.backends import Backend, register_backend
@@ -39,13 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.spec import RunSpec
 
 
-def _retarget(spec: "RunSpec", backend: str) -> "RunSpec":
-    """The underlying single-fidelity spec of one hybrid cell.  The
-    router config is stripped so the sub-result shares its cache entry
-    with plain runs of the same spec on that backend."""
-    return replace(spec, backend=backend, router=None)
-
-
 def route_grid(
     specs: list["RunSpec"], engine: "Engine", done: dict
 ) -> dict:
@@ -56,11 +49,11 @@ def route_grid(
         {spec: {"fidelity", "reason", "ipc_lo", "ipc_hi",
                 "model": <error-model content key>}}
 
-    The sub-fidelity runs go through ``engine``'s own ``map``, and each
-    routed cell adds one ``n_screened`` or ``n_promoted`` to
-    ``engine.counters`` as its event is emitted.  Specs may mix router
-    configs (each config group is routed — and budget-capped —
-    independently); results and provenance pool.
+    The sub-fidelity runs go through ``engine.resolve``, and each routed
+    cell adds one ``n_screened`` or ``n_promoted`` to ``engine.counters``
+    as its event is emitted.  Specs may mix router configs (each config
+    group is routed — and budget-capped — independently); results and
+    provenance pool.
     """
     provenance: dict = {}
     groups: dict[RouterSpec, list["RunSpec"]] = {}
@@ -81,9 +74,12 @@ def _route_group(
     model = load_model(rspec.corpus, rspec.quantile)
     model_key = model.key()  # serializes the whole model: once per group
 
-    # 1-2: analytic screen + fitted interval per cell
-    analytic = {spec: _retarget(spec, "analytic") for spec in specs}
-    a_res = engine.map(list(analytic.values()))
+    # 1-2: analytic screen + fitted interval per cell.  Sub-specs are
+    # deduped: a spec with no router and one with the default router
+    # route in the same group and retarget to the same sub-spec.
+    analytic = {spec: spec.with_backend("analytic") for spec in specs}
+    a_res: dict = {}
+    engine.resolve(dict.fromkeys(analytic.values()), a_res)
     cells = []
     for spec in specs:
         stats = a_res[analytic[spec]]
@@ -99,12 +95,11 @@ def _route_group(
 
     # 4: promoted cells at cycle fidelity, through the ordinary engine
     # machinery (pool, fork_warmup, cache); stats pass through untouched
-    cycle = {spec: _retarget(spec, "cycle") for spec in promoted}
-    c_res = engine.map(list(cycle.values())) if cycle else {}
+    cycle = {spec: spec.with_backend("cycle") for spec in promoted}
+    c_res: dict = {}
+    engine.resolve(dict.fromkeys(cycle.values()), c_res)
 
-    by_cell = {cell.spec: cell for cell in cells}
-    for spec in specs:
-        cell = by_cell[spec]
+    for spec, cell in zip(specs, cells):
         if spec in promoted:
             done[spec] = c_res[cycle[spec]]
             prov = {"fidelity": "cycle", "reason": promoted[spec]}
@@ -127,22 +122,20 @@ def _route_group(
 
 
 class HybridBackend(Backend):
-    """Multi-fidelity router (see module docstring).  A single spec run
-    directly (``spec.execute()`` / ``Engine.run``) is a one-cell grid:
-    the extrema policy promotes it, so the result is the cycle result —
-    the safe reading of "verify what matters" when there is only one
-    cell.  Routing gains come from grids."""
+    """The ``"hybrid"`` name in the backend registry, so the CLI, the
+    wire and :meth:`RunSpec.execute` resolve it like any other backend.
+    A single spec run directly is a one-cell grid through
+    :meth:`Engine.map <repro.engine.scheduler.Engine.map>`: the extrema
+    policy promotes it, so the result is the cycle result — the safe
+    reading of "verify what matters" when there is only one cell.
+    Routing gains come from grids."""
 
     name = "hybrid"
-    process_pool_worthwhile = False
-    routes_grids = True
 
     def run(self, spec: "RunSpec"):
         from repro.engine.scheduler import Engine
 
-        done: dict = {}
-        route_grid([spec], Engine.serial(), done)
-        return done[spec]
+        return Engine.serial().run(spec)
 
 
 register_backend(HybridBackend())

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro.workloads.profiles import check_scalars, scalar_checks
+
 #: promotion policies the router knows; ``RouterSpec.policies`` is an
 #: ordered subset ("budget" is not in here: the promote budget is a hard
 #: cap applied after every policy has nominated its candidates)
@@ -52,9 +54,8 @@ class RouterSpec:
             raise ValueError(
                 f"unknown router policies {unknown}; known: {POLICIES}"
             )
+        check_scalars(self, _CHECKS)
         budget = self.promote_budget
-        if isinstance(budget, bool) or not isinstance(budget, (int, float)):
-            raise ValueError("promote_budget must be a number")
         if isinstance(budget, float) and not 0.0 < budget <= 1.0:
             raise ValueError(
                 "a fractional promote_budget must be in (0, 1] "
@@ -66,7 +67,7 @@ class RouterSpec:
             raise ValueError("error_budget must be positive")
         if not 0.5 < self.quantile < 1.0:
             raise ValueError("quantile must be in (0.5, 1.0)")
-        if not self.corpus or not isinstance(self.corpus, str):
+        if not self.corpus:
             raise ValueError("corpus must be a non-empty string")
 
     def promote_cap(self, n_cells: int) -> int:
@@ -92,3 +93,11 @@ class RouterSpec:
         if "policies" in kw:
             kw["policies"] = tuple(kw["policies"])
         return cls(**kw)
+
+
+#: a bool is not a number and a float must be finite, as for every other
+#: wire type: ``error_budget: NaN`` would nominate no cell, and ``true``
+#: would act as a budget of 1.0
+_CHECKS = scalar_checks(RouterSpec, {
+    "promote_budget", "error_budget", "quantile", "corpus",
+})

@@ -64,7 +64,7 @@ class TestRunSpecIdentity:
         assert "[analytic]" in tiny_spec(backend="analytic").label()
         assert "[" not in tiny_spec().label()
 
-    def test_with_backend_retargets(self):
+    def test_with_backend_changes_the_backend(self):
         spec = tiny_spec()
         ana = spec.with_backend("analytic")
         assert ana.backend == "analytic" and ana.n_threads == spec.n_threads

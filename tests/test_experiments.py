@@ -1,13 +1,10 @@
-"""Experiment harness: runners, figure drivers, renderers (tiny budgets)."""
+"""Experiment harness: one-run presets, figure drivers, renderers (tiny
+budgets)."""
 
 import pytest
 
+from repro.engine.spec import RunSpec, scale_factor
 from repro.experiments import ablations, figures
-from repro.experiments.runner import (
-    run_multiprogrammed,
-    run_single_benchmark,
-    scale_factor,
-)
 
 
 @pytest.fixture(autouse=True)
@@ -17,16 +14,18 @@ def fast_scale(monkeypatch):
 
 class TestRunners:
     def test_multiprogrammed_run(self):
-        stats = run_multiprogrammed(2, l2_latency=16, seg_instrs=4000)
+        stats = RunSpec.multiprogrammed(
+            2, l2_latency=16, seg_instrs=4000).execute()
         assert stats.ipc > 0
         assert stats.committed > 0
 
     def test_single_benchmark_run(self):
-        stats = run_single_benchmark("applu", l2_latency=16)
+        stats = RunSpec.single("applu", l2_latency=16).execute()
         assert stats.ipc > 0
 
     def test_config_overrides_forwarded(self):
-        stats = run_multiprogrammed(1, seg_instrs=4000, fetch_policy="rr")
+        stats = RunSpec.multiprogrammed(
+            1, seg_instrs=4000, fetch_policy="rr").execute()
         assert stats.ipc > 0
 
     def test_scale_factor_reads_env(self):

@@ -154,6 +154,19 @@ def hybrid_doc(corpus):
     return fast_spec(backend="hybrid", router=RouterSpec(corpus=corpus)).to_dict()
 
 
+#: router configs the wire refuses: a bool, a non-finite float, a string
+#: or a disallowed null in each router scalar, and a router on a spec
+#: whose backend reads none
+BAD_ROUTERS = [
+    (("router", name), value) for name, values in {
+        "promote_budget": (True, math.nan, math.inf, "0.5", None),
+        "error_budget": (True, math.nan, math.inf, "0.5"),
+        "quantile": (True, math.nan, math.inf, "0.5", None),
+        "corpus": (True, math.nan, 3, None),
+    }.items() for value in values
+] + [(("backend",), "cycle")]
+
+
 # -- wire schema ------------------------------------------------------------------
 
 
@@ -211,6 +224,15 @@ class TestWire:
         body = json.dumps({"spec": hybrid_doc(corpus)}).encode()
         with pytest.raises(WireError, match="router.corpus"):
             parse_job_request(body)
+
+    @pytest.mark.parametrize(
+        "path, value", BAD_ROUTERS,
+        ids=[f"{path[-1]}={value!r}" for path, value in BAD_ROUTERS],
+    )
+    def test_rejects_bad_router_config(self, path, value):
+        doc = mutated(hybrid_doc("default"), path, value)
+        with pytest.raises(WireError, match=r"spec\[0\]"):
+            parse_job_request(json.dumps({"spec": doc}).encode())
 
     def test_default_router_corpus_is_accepted(self):
         req = parse_job_request(

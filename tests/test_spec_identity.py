@@ -204,12 +204,13 @@ def plain_keys(spec) -> tuple[str, str]:
 def test_spliced_keys_equal_the_plain_dump(name):
     """Pinned specs cover router, mem, config overrides and a
     ``with_profile_overrides`` workload; each is checked as built, after
-    a ``from_dict`` round trip, and retargeted by ``replace``."""
+    a ``from_dict`` round trip, and retargeted by ``with_backend`` and
+    ``replace``."""
     spec = build(name)
     for variant in (
         spec,
         RunSpec.from_dict(spec.to_dict()),
-        dataclasses.replace(spec, backend="analytic", l2_latency=96),
+        dataclasses.replace(spec.with_backend("analytic"), l2_latency=96),
     ):
         assert (variant.key(), variant.warmup_key()) == plain_keys(variant)
 
