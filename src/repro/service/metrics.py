@@ -4,8 +4,8 @@ Two kinds of numbers meet here: the service's own traffic counters
 (requests, submissions, job states, queue depth, coalesced spec-slots)
 and the *lifetime* engine counters summed over the worker pool — each
 worker owns one :class:`~repro.engine.scheduler.Engine`, and the
-engines already track cached/executed/forked totals across every
-``map`` call, so the service only has to add them up.
+engines already keep lifetime :class:`~repro.engine.scheduler.Counters`
+across every ``map`` call, so the service only has to add them up.
 """
 
 from __future__ import annotations

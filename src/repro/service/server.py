@@ -11,7 +11,7 @@ plus ~80 lines of parsing beat dragging in a framework:
 * ``GET /jobs/{id}/events`` — progress lines streamed live until the
   job reaches a terminal state.
 * ``GET /metrics`` — queue depth, job states, coalescing counters and
-  the engines' lifetime cached/executed/forked totals.
+  the engines' summed lifetime :class:`~repro.engine.scheduler.Counters`.
 * ``GET /healthz`` — liveness (and whether a drain is in progress).
 
 Framing is bounded before any route runs: a request line past the
