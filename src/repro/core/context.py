@@ -56,7 +56,8 @@ class ThreadContext:
         seed: int = 0,
         wrap: bool = True,
     ):
-        if not playlist or any(len(tr) == 0 for tr in playlist):
+        # a deferred trace is never empty, and checking must not build it
+        if not playlist or any(tr.built and not len(tr) for tr in playlist):
             raise ValueError("thread playlist must contain non-empty traces")
         self.tid = tid
         self.wrap = wrap
@@ -119,7 +120,12 @@ class ThreadContext:
 
     def rebind(self, playlist: list[Trace]) -> None:
         """Re-attach the (deterministically rebuilt) trace playlist after a
-        snapshot restore; the pickled cursors pick up where capture left."""
+        snapshot restore; the pickled cursors pick up where capture left.
+
+        The rebuilt playlist's traces are deferred, so the entry under
+        the cursor is built when fetch first reads it, which need not be
+        the first entry that :meth:`WorkloadSpec.playlists
+        <repro.workloads.spec.WorkloadSpec.playlists>` builds."""
         if len(playlist) <= self.play_idx:
             raise ValueError(
                 f"thread {self.tid}: restored cursor points at playlist "

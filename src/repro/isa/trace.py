@@ -5,15 +5,22 @@ plus a little metadata. The simulator is trace-driven exactly like the
 paper's: the correct execution path, effective addresses and branch outcomes
 all come from the trace; the pipeline adds timing, speculation and squashes.
 
-Synthesized traces are cached per process and shared by every context and run
-that plays them, and one instruction object may fill many positions of a
-trace (see :mod:`repro.isa.instruction`): nothing writes to a trace or
-its instructions after synthesis.
+Synthesized traces are cached per process and built there on first use
+(:meth:`Trace.deferred`): the first reader of a trace's instructions
+synthesizes them, so a run that never leaves its threads' first traces
+builds those and not the rest of a ten-trace rotation. A built trace is
+shared by every context and run that plays it, and one instruction
+object may fill many positions of a trace (see
+:mod:`repro.isa.instruction`): nothing writes to a trace or its
+instructions after synthesis.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.isa.instruction import StaticInst
 from repro.isa.opclass import OpClass, Unit, steer
@@ -53,6 +60,53 @@ class Trace:
         self._insts = insts
         self.name = name
 
+    @classmethod
+    def deferred(
+        cls, build: Callable[[], list[StaticInst]], name: str
+    ) -> "Trace":
+        """A trace whose instruction list ``build()`` makes on first use.
+
+        ``build`` must be deterministic and return a non-empty list:
+        validation never builds a deferred trace to look for an empty
+        one. Every access reads ``_insts``, which stays missing until
+        the first reader builds and publishes it and is a plain
+        attribute from then on, so the loops that hold the list pay
+        nothing. No lock is held across the build, because engines fork
+        pools and the service runs maps on threads. The first reader in
+        a process claims the build, and the readers that race it wait
+        for the claim's event instead of building a copy each; a claim
+        inherited through ``fork`` names another process, so the child
+        builds its own list and waits for no thread it does not have.
+        """
+        trace = cls.__new__(cls)
+        trace.name = name
+        trace._build = build
+        return trace
+
+    def __getattr__(self, attr: str):
+        # reached only for a missing attribute: a deferred trace's list
+        # before its first use
+        if attr != "_insts" or "_build" not in self.__dict__:
+            raise AttributeError(attr)
+        pid = os.getpid()
+        claim = (pid, threading.Event())
+        owner = self.__dict__.setdefault("_claim", claim)
+        if owner is not claim and owner[0] == pid:
+            owner[1].wait()
+            if "_insts" in self.__dict__:
+                return self._insts
+            # the claimant's build raised: try it here
+        try:
+            return self.__dict__.setdefault("_insts", self._build())
+        finally:
+            claim[1].set()
+
+    @property
+    def built(self) -> bool:
+        """Whether the instruction list exists (false only for a
+        deferred trace no reader has touched yet)."""
+        return "_insts" in self.__dict__
+
     def __len__(self) -> int:
         return len(self._insts)
 
@@ -81,4 +135,5 @@ class Trace:
         return Trace(self._insts + other._insts, name or f"{self.name}+{other.name}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Trace {self.name!r} n={len(self._insts)}>"
+        n = len(self._insts) if self.built else "deferred"
+        return f"<Trace {self.name!r} n={n}>"

@@ -25,8 +25,18 @@ def profile_trace(profile: BenchProfile, n_instrs: int, seed: int = 0) -> Trace:
     Keyed by the frozen profile *value* (not its name), so two inline
     variants of the same benchmark never share a trace — the invariant
     :meth:`~repro.workloads.spec.WorkloadSpec.playlists` relies on.
+
+    The trace is deferred (:meth:`Trace.deferred`): this call
+    synthesizes nothing, and the first reader of its instructions in
+    this process runs ``synthesize(profile, n_instrs, seed)``. Since
+    that returns at least ``n_instrs`` instructions, ``n_instrs`` must
+    be positive, which keeps every deferred trace non-empty.
     """
-    return synthesize(profile, n_instrs, seed=seed)
+    if n_instrs < 1:
+        raise ValueError(f"n_instrs must be positive, got {n_instrs}")
+    return Trace.deferred(
+        lambda: synthesize(profile, n_instrs, seed=seed).insts, profile.name
+    )
 
 
 def benchmark_trace(name: str, n_instrs: int, seed: int = 0) -> Trace:

@@ -269,16 +269,27 @@ class WorkloadSpec(Memoized):
         return out
 
     def playlists(self, seed: int = 0) -> list:
-        """One (cached) trace playlist per hardware context."""
+        """One trace playlist per hardware context, of process-cached
+        deferred traces (see
+        :func:`~repro.workloads.multiprogram.profile_trace`).
+
+        Builds each playlist's first entry, where the cycle kernel's
+        contexts and the characterization walk both start. A later
+        entry is built when fetch or the walk first wraps into it, so a
+        run that never leaves its first traces synthesizes no other.
+        """
         from repro.workloads.multiprogram import profile_trace
 
-        return [
+        playlists = [
             [
                 profile_trace(e.profile, self.entry_length(e), seed)
                 for e in playlist
             ]
             for playlist in self.threads
         ]
+        for playlist in playlists:
+            playlist[0].insts  # reading the list builds it
+        return playlists
 
     # -- derivation ------------------------------------------------------------
 

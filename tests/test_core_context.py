@@ -103,6 +103,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             ThreadContext(0, MachineConfig(), [Trace([], name="empty")])
 
+    def test_rejects_empty_trace_past_the_first_without_building(self):
+        def unbuildable():
+            pytest.fail("validating the playlist built a deferred trace")
+
+        deferred = Trace.deferred(unbuildable, name="deferred")
+        ThreadContext(0, MachineConfig(), [deferred, deferred])
+        with pytest.raises(ValueError):
+            ThreadContext(
+                0, MachineConfig(), [deferred, Trace([], name="empty")]
+            )
+        assert not deferred.built
+
     def test_wp_generator_refills(self):
         ctx = _ctx()
         first = [ctx.next_wp_inst() for _ in range(40)]

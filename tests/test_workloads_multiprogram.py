@@ -1,5 +1,7 @@
 """Multiprogrammed workload construction (rotated benchmark playlists)."""
 
+import pytest
+
 from repro.workloads.multiprogram import (
     benchmark_trace,
     multiprogram,
@@ -60,6 +62,11 @@ class TestCaching:
         a = benchmark_trace("mgrid", 1500, seed=0)
         b = benchmark_trace("mgrid", 1500, seed=1)
         assert a is not b
+
+    def test_refuses_a_length_that_would_build_an_empty_trace(self):
+        # a deferred trace must be non-empty before it is built
+        with pytest.raises(ValueError):
+            benchmark_trace("mgrid", 0)
 
 
 class TestSingleProgram:
