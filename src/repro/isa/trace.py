@@ -17,8 +17,6 @@ instructions after synthesis.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -72,11 +70,11 @@ class Trace:
         the first reader builds and publishes it and is a plain
         attribute from then on, so the loops that hold the list pay
         nothing. No lock is held across the build, because engines fork
-        pools and the service runs maps on threads. The first reader in
-        a process claims the build, and the readers that race it wait
-        for the claim's event instead of building a copy each; a claim
-        inherited through ``fork`` names another process, so the child
-        builds its own list and waits for no thread it does not have.
+        pools and the service runs maps on threads: readers that race
+        to a first use may each build a list, and the first one
+        published is the one they all return. A child forked before the
+        first use builds its own. Pickling a deferred trace builds it,
+        and the pickle holds the instructions, as for any trace.
         """
         trace = cls.__new__(cls)
         trace.name = name
@@ -88,18 +86,11 @@ class Trace:
         # before its first use
         if attr != "_insts" or "_build" not in self.__dict__:
             raise AttributeError(attr)
-        pid = os.getpid()
-        claim = (pid, threading.Event())
-        owner = self.__dict__.setdefault("_claim", claim)
-        if owner is not claim and owner[0] == pid:
-            owner[1].wait()
-            if "_insts" in self.__dict__:
-                return self._insts
-            # the claimant's build raised: try it here
-        try:
-            return self.__dict__.setdefault("_insts", self._build())
-        finally:
-            claim[1].set()
+        return self.__dict__.setdefault("_insts", self._build())
+
+    def __reduce__(self):
+        # ``_build`` is a closure; a pickle or copy carries the list
+        return Trace, (self._insts, self.name)
 
     @property
     def built(self) -> bool:
