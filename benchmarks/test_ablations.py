@@ -4,10 +4,10 @@ evaluate (see DESIGN.md per-experiment index, abl-* rows)."""
 from repro.experiments import ablations
 
 
-def test_unit_width(once, engine):
+def test_unit_width(engine):
     """Paper section 3.1: AP/EP load imbalance costs ~15 % of peak; an
     asymmetric split was left as future work."""
-    data = once(ablations.unit_width, engine=engine)
+    data = ablations.unit_width(engine=engine)
     print()
     print(ablations.render_unit_width(data))
     # the symmetric paper split must not be grossly inferior to the best
@@ -15,34 +15,34 @@ def test_unit_width(once, engine):
     assert data[(4, 4)]["ipc"] > 0.85 * best
 
 
-def test_fetch_policy(once, engine):
-    data = once(ablations.fetch_policy, engine=engine)
+def test_fetch_policy(engine):
+    data = ablations.fetch_policy(engine=engine)
     print()
     print(ablations.render_fetch_policy(data))
     assert data["icount"]["ipc"] > 0.9 * data["rr"]["ipc"]
 
 
-def test_mshr_sweep(once, engine):
+def test_mshr_sweep(engine):
     """Quantifies the DESIGN.md substitution: 16 MSHRs cannot sustain the
     MLP the paper's latency sweep implies."""
-    data = once(ablations.mshr, engine=engine)
+    data = ablations.mshr(engine=engine)
     print()
     print(ablations.render_mshr(data))
     assert data[64]["ipc"] > data[8]["ipc"]
 
 
-def test_iq_depth(once, engine):
+def test_iq_depth(engine):
     """Slip (and therefore latency hiding) is bounded by the IQ depth."""
-    data = once(ablations.iq_depth, engine=engine)
+    data = ablations.iq_depth(engine=engine)
     print()
     print(ablations.render_iq_depth(data))
     assert data[192]["slip"] > data[8]["slip"]
     assert data[192]["ipc"] > data[8]["ipc"]
 
 
-def test_rob_size(once, engine):
+def test_rob_size(engine):
     """Sensitivity to the ROB size Figure 2 leaves unspecified."""
-    data = once(ablations.rob, engine=engine)
+    data = ablations.rob(engine=engine)
     print()
     print(ablations.render_rob(data))
     assert data[256]["ipc"] > 0.8 * data[512]["ipc"]

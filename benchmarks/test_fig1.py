@@ -8,8 +8,8 @@ latency, 1-c miss ratios at L2=256, 1-d relative IPC loss.
 from repro.experiments.figures import fig1, render_fig1
 
 
-def test_fig1(once, engine):
-    data = once(fig1, engine=engine)
+def test_fig1(engine):
+    data = fig1(engine=engine)
     print()
     print(render_fig1(data))
 

@@ -8,8 +8,8 @@ EP wait-on-memory grows with the thread count.
 from repro.experiments.figures import fig3, render_fig3
 
 
-def test_fig3(once, engine):
-    data = once(fig3, engine=engine)
+def test_fig3(engine):
+    data = fig3(engine=engine)
     print()
     print(render_fig3(data))
 

@@ -10,8 +10,8 @@ configuration loses only a few percent while every non-decoupled one loses
 from repro.experiments.figures import fig4, render_fig4
 
 
-def test_fig4(once, engine):
-    data = once(fig4, engine=engine)
+def test_fig4(engine):
+    data = fig4(engine=engine)
     print()
     print(render_fig4(data))
 

@@ -8,8 +8,8 @@ the paper's "89 % at 12 threads / 98 % at 16 threads" observation.
 from repro.experiments.figures import fig5, render_fig5
 
 
-def test_fig5(once, engine):
-    data = once(fig5, engine=engine)
+def test_fig5(engine):
+    data = fig5(engine=engine)
     print()
     print(render_fig5(data))
 

@@ -9,7 +9,7 @@ while the decoupled machine peaks with 4-5 threads and modest bus load.
 Run:  python examples/bus_saturation.py
 """
 
-from repro import Processor, format_table, multiprogram, paper_config
+from repro import Processor, WorkloadSpec, format_table, paper_config
 
 LATENCY = 64
 
@@ -18,7 +18,8 @@ def measure(decoupled: bool, n_threads: int):
     cfg = paper_config(
         n_threads=n_threads, l2_latency=LATENCY, decoupled=decoupled
     )
-    proc = Processor(cfg, multiprogram(n_threads, seg_instrs=20_000))
+    workload = WorkloadSpec.rotation(n_threads, seg_instrs=20_000)
+    proc = Processor(cfg, workload.playlists())
     stats = proc.run(
         max_commits=8_000 * n_threads, warmup_commits=5_000 * n_threads
     )

@@ -9,14 +9,14 @@ paper's "2.68 -> 6.19 IPC with three threads" observation.
 Run:  python examples/quickstart.py
 """
 
-from repro import Processor, format_run, multiprogram, paper_config
+from repro import Processor, WorkloadSpec, format_run, paper_config
 
 
 def main() -> None:
     for n_threads in (1, 3):
         cfg = paper_config(n_threads=n_threads, l2_latency=16)
-        workload = multiprogram(n_threads, seg_instrs=20_000)
-        proc = Processor(cfg, workload)
+        workload = WorkloadSpec.rotation(n_threads, seg_instrs=20_000)
+        proc = Processor(cfg, workload.playlists())
         stats = proc.run(
             max_commits=15_000 * n_threads,
             warmup_commits=8_000 * n_threads,

@@ -7,10 +7,11 @@ experiment harnesses that regenerate every figure of the paper.
 
 Quickstart::
 
-    from repro import paper_config, Processor, multiprogram
+    from repro import paper_config, Processor, WorkloadSpec
 
     cfg = paper_config(n_threads=4, l2_latency=16)
-    proc = Processor(cfg, multiprogram(4, seg_instrs=10_000))
+    workload = WorkloadSpec.rotation(4, seg_instrs=10_000)
+    proc = Processor(cfg, workload.playlists())
     stats = proc.run(max_commits=50_000, warmup_commits=5_000)
     print(f"IPC = {stats.ipc:.2f}")
 """
@@ -21,11 +22,6 @@ from repro.engine import Engine, ResultCache, RunSpec, Sweep
 from repro.isa.opclass import OpClass, Unit
 from repro.stats.counters import SimStats
 from repro.stats.report import format_run, format_table
-from repro.workloads.multiprogram import (
-    benchmark_trace,
-    multiprogram,
-    single_program,
-)
 from repro.workloads.profiles import (
     BENCH_ORDER,
     SPECFP95,
@@ -68,9 +64,6 @@ __all__ = [
     "load_workload",
     "workload_preset",
     "register_preset",
-    "multiprogram",
-    "single_program",
-    "benchmark_trace",
     "format_run",
     "format_table",
     "__version__",

@@ -54,41 +54,44 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-sim"
 
 
+def _write_atomic(path: Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` via temp file + ``os.replace``, so a
+    reader never sees a half-written file: cache entries, snapshots and
+    job records.
+
+    The temp file is created 0666 and the kernel masks that with the
+    process umask, so the file gets the mode a plain ``open()`` would
+    give it.  ``mkstemp``'s 0600 would survive ``os.replace``: in a
+    cache directory shared across users (CI runners, a job server's
+    workers) every other reader would get permission-denied, which
+    :meth:`ResultCache.get` reads as a miss, so the same runs would
+    re-simulate forever.  Re-moding the file instead would need the
+    umask, which can only be read by setting it; the job server's
+    threads write concurrently, and two of them could leave each
+    other's files 0600, or the process umask at the value set to read
+    it.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f"{uuid.uuid4().hex}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """Maps :class:`RunSpec` -> :class:`SimStats` on disk."""
 
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = Path(root).expanduser() if root else default_cache_dir()
         self._swept_orphans = False
-
-    def _write_atomic(self, path: Path, payload: bytes) -> None:
-        """Write ``payload`` to ``path`` via temp file + ``os.replace``.
-
-        The temp file is created 0666 and the kernel masks that with the
-        process umask, so an entry gets the mode a plain ``open()`` would
-        give it.  ``mkstemp``'s 0600 would survive ``os.replace``: in a
-        cache directory shared across users (CI runners, a job server's
-        workers) every other reader would get permission-denied, which
-        :meth:`get` reads as a miss, so the same runs would re-simulate
-        forever.  Re-moding the file instead would need the umask, which
-        can only be read by setting it; the job server's threads put
-        concurrently, and two of them could leave each other's entries
-        0600, or the process umask at the value set to read it.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._sweep_orphans()
-        tmp = self.root / f"{uuid.uuid4().hex}.tmp"
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def _sweep_orphans(self) -> None:
         """Remove stale ``*.tmp`` droppings left by killed workers.
@@ -154,9 +157,8 @@ class ResultCache:
             "label": spec.label(),
             "stats": stats.to_dict(),
         }
-        self._write_atomic(
-            path, json.dumps(entry, sort_keys=True).encode("utf-8")
-        )
+        self._sweep_orphans()
+        _write_atomic(path, json.dumps(entry, sort_keys=True).encode("utf-8"))
         return path
 
     # -- warm-up snapshots --------------------------------------------------------
@@ -182,7 +184,8 @@ class ResultCache:
     def put_snapshot(self, warmup_key: str, data: bytes) -> Path:
         """Store one serialized snapshot atomically."""
         path = self.snapshot_path(warmup_key)
-        self._write_atomic(path, data)
+        self._sweep_orphans()
+        _write_atomic(path, data)
         return path
 
     def __contains__(self, spec: RunSpec) -> bool:

@@ -30,14 +30,14 @@ import itertools
 import json
 import os
 import warnings
-from dataclasses import dataclass, field, fields, replace as dataclasses_replace
+from dataclasses import dataclass, field, replace as dataclasses_replace
 from typing import Any, Iterable, Iterator
 
 from repro.memo import Memoized
 from repro.memory.spec import MemSpec
 from repro.router.spec import RouterSpec
 from repro.stats.counters import SimStats
-from repro.workloads.profiles import check_scalars, scalar_checks
+from repro.workloads.profiles import _check_known, check_scalars, scalar_checks
 from repro.workloads.spec import (
     COMMITS_PER_THREAD,
     SEG_INSTRS,
@@ -320,8 +320,8 @@ class RunSpec(Memoized):
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunSpec":
-        known = {f.name for f in fields(cls)}
-        kw = {k: v for k, v in d.items() if k in known}
+        _check_known(d, cls, "spec")
+        kw = dict(d)
         kw["workload"] = WorkloadSpec.from_dict(d["workload"])
         if d.get("mem") is not None:
             kw["mem"] = MemSpec.from_dict(d["mem"])

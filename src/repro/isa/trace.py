@@ -5,8 +5,9 @@ plus a little metadata. The simulator is trace-driven exactly like the
 paper's: the correct execution path, effective addresses and branch outcomes
 all come from the trace; the pipeline adds timing, speculation and squashes.
 
-Synthesized traces are cached per process and built there on first use
-(:meth:`Trace.deferred`): the first reader of a trace's instructions
+Synthesized traces are cached per process
+(:func:`~repro.workloads.synth.profile_trace`) and built there on first
+use (:meth:`Trace.deferred`): the first reader of a trace's instructions
 synthesizes them, so a run that never leaves its threads' first traces
 builds those and not the rest of a ten-trace rotation. A built trace is
 shared by every context and run that plays it, and one instruction
@@ -120,10 +121,6 @@ class Trace:
             by_op[inst.op] = by_op.get(inst.op, 0) + 1
         out.by_op = by_op
         return out
-
-    def concat(self, other: "Trace", name: str | None = None) -> "Trace":
-        """Return a new trace that runs ``self`` then ``other``."""
-        return Trace(self._insts + other._insts, name or f"{self.name}+{other.name}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         n = len(self._insts) if self.built else "deferred"

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, fields, replace
 from repro.workloads.profiles import (
     KB,
     MB,
+    _check_known,
     check_scalars,
     did_you_mean,
     scalar_checks,
@@ -98,16 +99,6 @@ def _check_auto(obj, checks: tuple, where: str) -> None:
         )
 
 
-def _check_known(d: dict, cls, what: str) -> None:
-    known = {f.name for f in fields(cls)}
-    for key in d:
-        if key not in known:
-            raise ValueError(
-                f"unknown {what} field {key!r}{did_you_mean(key, known)}; "
-                f"fields: {', '.join(sorted(known))}"
-            )
-
-
 @dataclass(frozen=True)
 class LevelSpec:
     """One cache level. ``levels[0]`` is the L1; the rest are outer."""
@@ -148,8 +139,6 @@ class LevelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LevelSpec":
-        if not isinstance(d, dict):
-            raise ValueError(f"level spec must be a mapping, got {d!r}")
         _check_known(d, cls, "memory level")
         return cls(**d)
 
@@ -192,8 +181,6 @@ class InterconnectSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InterconnectSpec":
-        if not isinstance(d, dict):
-            raise ValueError(f"interconnect spec must be a mapping, got {d!r}")
         _check_known(d, cls, "interconnect")
         return cls(**d)
 
@@ -231,8 +218,6 @@ class PrefetchSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrefetchSpec":
-        if not isinstance(d, dict):
-            raise ValueError(f"prefetch spec must be a mapping, got {d!r}")
         _check_known(d, cls, "prefetch")
         return cls(**d)
 
@@ -405,8 +390,6 @@ class MemSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MemSpec":
-        if not isinstance(d, dict):
-            raise ValueError(f"memory spec must be a mapping, got {d!r}")
         _check_known(d, cls, "memory spec")
         levels = d.get("levels")
         if not isinstance(levels, (list, tuple)) or not levels:
@@ -455,13 +438,7 @@ class MemSpec:
                     f"{did_you_mean(level_name, by_name)}; "
                     f"levels: {', '.join(by_name)}"
                 )
-            known = {f.name for f in fields(LevelSpec)}
-            if attr not in known:
-                raise ValueError(
-                    f"unknown level field {attr!r}"
-                    f"{did_you_mean(attr, known)}; "
-                    f"fields: {', '.join(sorted(known))}"
-                )
+            _check_known({attr: value}, LevelSpec, "level")
             levels = tuple(
                 replace(lvl, **{attr: value})
                 if lvl.name == level_name

@@ -13,9 +13,9 @@ byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from repro.workloads.profiles import check_scalars, scalar_checks
+from repro.workloads.profiles import _check_known, check_scalars, scalar_checks
 
 #: promotion policies the router knows; ``RouterSpec.policies`` is an
 #: ordered subset ("budget" is not in here: the promote budget is a hard
@@ -88,8 +88,8 @@ class RouterSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RouterSpec":
-        known = {f.name for f in fields(cls)}
-        kw = {k: v for k, v in d.items() if k in known}
+        _check_known(d, cls, "router")
+        kw = dict(d)
         if "policies" in kw:
             kw["policies"] = tuple(kw["policies"])
         return cls(**kw)

@@ -7,12 +7,13 @@ append-only event log that ``GET /jobs/{id}/events`` streams live, and —
 once finished — the per-spec results.
 
 Every state transition is written through :class:`JobStore` to one JSON
-file per job (``{id}.job.json``, atomic temp-file + ``os.replace`` like
-the result cache), so the queue survives restarts: on boot the server
-re-enqueues every job the previous process accepted but never finished,
-and finished jobs keep answering ``GET /jobs/{id}`` forever.  SIGTERM
-drain leans on the same property — in-flight jobs run to completion and
-their final write persists the results before the process exits.
+file per job (``{id}.job.json``) by the result cache's atomic writer,
+so a record gets the mode a plain ``open()`` would give it and the
+queue survives restarts: on boot the server re-enqueues every job the
+previous process accepted but never finished, and finished jobs keep
+answering ``GET /jobs/{id}`` forever.  SIGTERM drain leans on the same
+property — in-flight jobs run to completion and their final write
+persists the results before the process exits.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import tempfile
 import time
 import uuid
 from pathlib import Path
 
+from repro.engine.cache import _write_atomic
 from repro.engine.scheduler import Counters
 from repro.engine.spec import RunSpec
 
@@ -171,19 +172,7 @@ class JobStore:
 
     def save(self, job: Job) -> Path:
         path = self.path_for(job.id)
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(job.to_record(), sort_keys=True).encode("utf-8")
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_atomic(path, json.dumps(job.to_record(), sort_keys=True).encode())
         return path
 
     def load_all(self) -> list[Job]:

@@ -11,8 +11,9 @@ spec *is* the wire format, so the service validates by parsing through
 hierarchy (which builds its machine config) and resolving the backend
 name.  A bad body — including config overrides that are unhashable,
 name no config field or describe a hierarchy that cannot be built,
-scalars or profile fields of the wrong type or out of synthesis range,
-and a router corpus other than ``"default"`` — raises
+keys that name no field of their spec, workload, entry, profile, router
+or memory document, scalars or profile fields of the wrong type or out
+of synthesis range, and a router corpus other than ``"default"`` — raises
 :class:`WireError`, which the server maps to a 400 instead of letting a
 malformed job fail asynchronously after it was accepted.  The corpus is
 a path the worker would read whole, so a client may not choose it (the

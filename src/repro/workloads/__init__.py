@@ -1,13 +1,7 @@
-"""Synthetic SPEC FP95-like workloads (traces, profiles, multiprogramming)
-and the declarative workload API (:mod:`repro.workloads.spec`)."""
+"""Synthetic SPEC FP95-like workloads (traces, profiles) and the
+declarative workload API (:mod:`repro.workloads.spec`), whose
+``playlists()`` builds every context's trace playlist."""
 
-from repro.workloads.multiprogram import (
-    benchmark_trace,
-    multiprogram,
-    profile_trace,
-    rotation,
-    single_program,
-)
 from repro.workloads.profiles import (
     BENCH_ORDER,
     SCENARIOS,
@@ -30,7 +24,7 @@ from repro.workloads.spec import (
     resolve_workload,
     workload_preset,
 )
-from repro.workloads.synth import KernelSynthesizer, synthesize
+from repro.workloads.synth import KernelSynthesizer, profile_trace, synthesize
 from repro.workloads.wrongpath import WrongPathGenerator
 
 __all__ = [
@@ -54,10 +48,6 @@ __all__ = [
     "preset_provenance",
     "synthesize",
     "KernelSynthesizer",
-    "multiprogram",
-    "single_program",
-    "benchmark_trace",
     "profile_trace",
-    "rotation",
     "WrongPathGenerator",
 ]

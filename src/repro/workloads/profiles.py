@@ -37,6 +37,7 @@ from __future__ import annotations
 import difflib
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 
 from repro.memo import Memoized
 
@@ -48,6 +49,26 @@ def did_you_mean(name: str, candidates) -> str:
     """``" — did you mean 'x'?"`` for the closest candidate, or ``""``."""
     close = difflib.get_close_matches(str(name), list(candidates), n=1)
     return f" — did you mean {close[0]!r}?" if close else ""
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls) -> frozenset:
+    return frozenset(f.name for f in fields(cls))
+
+
+def _check_known(d, cls, what: str) -> None:
+    """Refuse a ``d`` that is no mapping, or whose first unknown key names
+    no field of the dataclass ``cls`` (with a did-you-mean and the field
+    list): a misspelled field must not run as its default."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a mapping, got {d!r}")
+    known = _field_names(cls)
+    for key in d:
+        if key not in known:
+            raise ValueError(
+                f"unknown {what} field {key!r}{did_you_mean(key, known)}; "
+                f"fields: {', '.join(sorted(known))}"
+            )
 
 
 #: the value types each annotated scalar type accepts, and its name in
@@ -170,14 +191,7 @@ class BenchProfile(Memoized):
         Unknown field names raise a :class:`ValueError` with a
         closest-match suggestion instead of a bare ``TypeError``.
         """
-        known = {f.name for f in fields(self)}
-        for key in kwargs:
-            if key not in known:
-                raise ValueError(
-                    f"unknown profile field {key!r}"
-                    f"{did_you_mean(key, known)}; fields: "
-                    f"{', '.join(sorted(known))}"
-                )
+        _check_known(kwargs, type(self), "profile")
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
@@ -199,22 +213,15 @@ class BenchProfile(Memoized):
         """
         d = dict(d)
         base_name = d.pop("base", None)
-        if base_name is not None:
-            base = get_profile(base_name)
-            if "name" not in d:
-                raise ValueError(
-                    f"profile derived from base {base_name!r} needs its "
-                    "own 'name'"
-                )
-            name = d.pop("name")
-            return base.with_overrides(**d, name=name)
-        known = {f.name for f in fields(cls)}
-        for key in d:
-            if key not in known:
-                raise ValueError(
-                    f"unknown profile field {key!r}{did_you_mean(key, known)}"
-                )
-        return cls(**d)
+        if base_name is None:
+            _check_known(d, cls, "profile")
+            return cls(**d)
+        base = get_profile(base_name)
+        if "name" not in d:
+            raise ValueError(
+                f"profile derived from base {base_name!r} needs its own 'name'"
+            )
+        return base.with_overrides(**d)
 
 
 _CHECKS = scalar_checks(BenchProfile)

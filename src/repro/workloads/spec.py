@@ -53,6 +53,7 @@ from repro.memo import Memoized
 from repro.workloads.profiles import (
     BENCH_ORDER,
     BenchProfile,
+    _check_known,
     check_scalars,
     did_you_mean,
     get_profile,
@@ -61,6 +62,7 @@ from repro.workloads.profiles import (
     registry_generation,
     scalar_checks,
 )
+from repro.workloads.synth import profile_trace
 
 #: default trace segment length per playlist entry (the paper used 100 M
 #: instructions per benchmark; we scale down — see DESIGN.md)
@@ -188,6 +190,7 @@ class WorkloadEntry:
             return cls.parse(d)
         if not isinstance(d, dict):
             raise ValueError(f"workload entry must be str or dict, got {d!r}")
+        _check_known(d, cls, "workload entry")
         prof = d.get("profile")
         if isinstance(prof, str):
             entry = cls.parse(prof)
@@ -270,16 +273,16 @@ class WorkloadSpec(Memoized):
 
     def playlists(self, seed: int = 0) -> list:
         """One trace playlist per hardware context, of process-cached
-        deferred traces (see
-        :func:`~repro.workloads.multiprogram.profile_trace`).
+        deferred traces (see :func:`~repro.workloads.synth.profile_trace`).
+        Contexts share a trace object wherever their entries name the
+        same profile and length: the pipeline salts data addresses per
+        thread, so memory does not grow with the thread count.
 
         Builds each playlist's first entry, where the cycle kernel's
         contexts and the characterization walk both start. A later
         entry is built when fetch or the walk first wraps into it, so a
         run that never leaves its first traces synthesizes no other.
         """
-        from repro.workloads.multiprogram import profile_trace
-
         playlists = [
             [
                 profile_trace(e.profile, self.entry_length(e), seed)
@@ -341,8 +344,7 @@ class WorkloadSpec(Memoized):
     def from_dict(cls, d: dict) -> "WorkloadSpec":
         """Inverse of :meth:`to_dict`; also accepts the hand-authored file
         shape where entries are compact strings (see module docstring)."""
-        if not isinstance(d, dict):
-            raise ValueError(f"workload document must be a mapping, got {d!r}")
+        _check_known(d, cls, "workload")
         threads = d.get("threads")
         if not isinstance(threads, (list, tuple)):
             raise ValueError("workload document needs a 'threads' list")
@@ -591,7 +593,7 @@ def load_workload(path) -> WorkloadSpec:
     one file with no code changes.
     """
     doc = load_document(path)
-    for name, body in (doc.get("profiles") or {}).items():
+    for name, body in (doc.pop("profiles", None) or {}).items():
         register_profile(
             BenchProfile.from_dict({"name": name, **body}),
             provenance=str(path),

@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from functools import lru_cache
 
 from repro.isa.instruction import StaticInst
 from repro.isa.opclass import OpClass
@@ -419,3 +420,24 @@ class KernelSynthesizer:
 def synthesize(profile: BenchProfile, n_instrs: int, seed: int = 0) -> Trace:
     """Generate a synthetic trace of ``>= n_instrs`` instructions."""
     return KernelSynthesizer(profile, seed).synthesize(n_instrs)
+
+
+@lru_cache(maxsize=128)
+def profile_trace(profile: BenchProfile, n_instrs: int, seed: int = 0) -> Trace:
+    """A (cached) synthetic trace for one resolved profile.
+
+    Keyed by the frozen profile *value* (not its name), so two inline
+    variants of the same benchmark never share a trace — the invariant
+    :meth:`~repro.workloads.spec.WorkloadSpec.playlists` relies on.
+
+    The trace is deferred (:meth:`Trace.deferred`): this call
+    synthesizes nothing, and the first reader of its instructions in
+    this process runs ``synthesize(profile, n_instrs, seed)``. Since
+    that returns at least ``n_instrs`` instructions, ``n_instrs`` must
+    be positive, which keeps every deferred trace non-empty.
+    """
+    if n_instrs < 1:
+        raise ValueError(f"n_instrs must be positive, got {n_instrs}")
+    return Trace.deferred(
+        lambda: synthesize(profile, n_instrs, seed=seed).insts, profile.name
+    )

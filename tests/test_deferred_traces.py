@@ -38,18 +38,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: runs one rotation spec at scale 0.1 and prints the profiles it
 #: synthesized and a sha256 over its stats
 PROBE = textwrap.dedent("""
-    import hashlib, importlib, json, sys
+    import hashlib, json, sys
+    import repro.workloads.synth as synth
     from repro.engine import RunSpec
 
-    multiprogram = importlib.import_module("repro.workloads.multiprogram")
-    synthesize = multiprogram.synthesize
+    synthesize = synth.synthesize
     built = []
 
     def counted(profile, n_instrs, seed=0):
         built.append(profile.name)
         return synthesize(profile, n_instrs, seed=seed)
 
-    multiprogram.synthesize = counted
+    synth.synthesize = counted
     backend, n_threads, seg_instrs = sys.argv[1:]
     spec = RunSpec.multiprogrammed(
         int(n_threads), seg_instrs=int(seg_instrs), scale=0.1,

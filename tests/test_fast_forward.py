@@ -25,7 +25,7 @@ from repro.core.stages import (
     build_stages,
 )
 from repro.engine.spec import RunSpec
-from repro.workloads.multiprogram import single_program
+from repro.workloads.spec import WorkloadSpec
 
 
 def run_checked(spec: RunSpec, fast_forward: bool, slices: int = 6):
@@ -225,7 +225,7 @@ class TestDeadlockEquivalence:
     def _machine(self):
         cfg = paper_config(1, decoupled=True, l2_latency=500,
                            deadlock_cycles=60)
-        playlists = single_program("tomcatv", n_instrs=2000, seed=0)
+        playlists = WorkloadSpec.single("tomcatv", seg_instrs=2000).playlists(0)
         return Processor(cfg, playlists, seed=0)
 
     def test_same_cycle_and_stats(self):
@@ -252,17 +252,14 @@ class TestDeadlockEquivalence:
         fills that outlive the deadlock horizon) must trip the watchdog at
         the same cycle with fast-forward on and off — the partial-idle
         jump may never leap over the threshold."""
-        from repro.workloads.multiprogram import multiprogram
-
         cfg = paper_config(2, decoupled=True, l2_latency=2000, mshrs=2,
                            deadlock_cycles=80)
         outcomes = []
         for ff in (True, False):
-            proc = Processor(
-                cfg, multiprogram(2, seg_instrs=2000, seed=0,
-                                  names=["su2cor", "tomcatv"]),
-                seed=0,
+            workload = WorkloadSpec.rotation(
+                2, names=["su2cor", "tomcatv"], seg_instrs=2000
             )
+            proc = Processor(cfg, workload.playlists(0), seed=0)
             with pytest.raises(SimulationError) as exc:
                 proc.run(max_commits=4000, max_cycles=1_000_000,
                          fast_forward=ff)
@@ -321,7 +318,8 @@ class TestStagedKernelComposition:
 
     def test_deadlock_cycles_from_config(self):
         cfg = MachineConfig(deadlock_cycles=123)
-        proc = Processor(cfg, single_program("tomcatv", n_instrs=1000, seed=0))
+        workload = WorkloadSpec.single("tomcatv", seg_instrs=1000)
+        proc = Processor(cfg, workload.playlists(0))
         assert proc.deadlock_cycles == 123
         proc.deadlock_cycles = 456  # per-instance override still allowed
         assert proc.state.deadlock_cycles == 456

@@ -29,15 +29,6 @@ class TestTrace:
             OpClass.STORE_F, OpClass.BRANCH,
         ]
 
-    def test_concat(self):
-        a, b = _trace(), _trace()
-        c = a.concat(b)
-        assert len(c) == 10
-        assert c.name == "mix+mix"
-
-    def test_concat_custom_name(self):
-        assert _trace().concat(_trace(), name="x").name == "x"
-
 
 class TestTraceStats:
     def test_counts(self):

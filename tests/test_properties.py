@@ -25,7 +25,7 @@ from repro.isa.instruction import DynInst, StaticInst
 from repro.isa.opclass import OpClass
 from repro.memory.levels import HIT, MISS, L1Cache
 from repro.stats.counters import SimStats
-from repro.workloads.multiprogram import multiprogram
+from repro.workloads.spec import WorkloadSpec
 from repro.workloads.synth import fold, FOLD_WINDOW
 
 
@@ -231,7 +231,8 @@ GRID_SEEDS = range(6)
 
 def _grid_run(seed: int, fast_forward: bool = True):
     cfg = sample_config(seed)
-    playlists = multiprogram(cfg.n_threads, seg_instrs=2500, seed=seed)
+    workload = WorkloadSpec.rotation(cfg.n_threads, seg_instrs=2500)
+    playlists = workload.playlists(seed)
     proc = Processor(cfg, playlists, seed=seed)
     stats = proc.run(
         max_commits=1200 * cfg.n_threads,

@@ -355,6 +355,14 @@ class TestJobStore:
     def test_load_all_missing_dir(self, tmp_path):
         assert JobStore(tmp_path / "nope").load_all() == []
 
+    def test_record_gets_the_mode_of_a_plain_open(self, tmp_path):
+        # the cache's writer: mkstemp's 0600 would lock other readers out
+        path = JobStore(tmp_path).save(Job([fast_spec()]))
+        plain = tmp_path / "plain"
+        with open(plain, "w"):
+            pass
+        assert path.stat().st_mode == plain.stat().st_mode
+
 
 # -- live HTTP --------------------------------------------------------------------
 
@@ -566,6 +574,20 @@ class TestHTTP:
         assert listing["jobs"] == []
         _, metrics = _request(service, "GET", "/metrics")
         assert metrics["queue_depth"] == 0
+
+    @pytest.mark.parametrize("what, path", [
+        ("spec", ("comits",)),
+        ("workload", ("workload", "seg_instr")),
+        ("workload entry", ENTRY + ("seg_instr",)),
+        ("router", ("router", "promote_budgt")),
+    ], ids=["spec", "workload", "entry", "router"])
+    def test_unknown_field_is_400_naming_it(self, service, what, path):
+        # dropped, a misspelled field ran as its default
+        doc = mutated(hybrid_doc("default"), path, 2000)
+        status, reply = _request(service, "POST", "/jobs", {"spec": doc})
+        assert status == 400
+        assert f"unknown {what} field {path[-1]!r}" in reply["error"]
+        assert service.metrics.jobs_submitted == 0
 
     @pytest.mark.parametrize("corpus", FOREIGN_CORPORA)
     def test_client_chosen_router_corpus_is_400(self, service, corpus):
