@@ -19,31 +19,26 @@ class BimodalBHT:
         self.lookups = 0
         self.hits = 0
 
-    def _index(self, pc: int) -> int:
-        return (pc >> 2) & self._mask
-
-    def predict(self, pc: int) -> bool:
-        """Predict taken/not-taken for the branch at ``pc``."""
-        self.lookups += 1
-        return self.table[self._index(pc)] >= 2
-
-    def update(self, pc: int, taken: bool) -> None:
-        """Train the counter at ``pc`` with the actual outcome."""
-        i = self._index(pc)
-        c = self.table[i]
-        if taken:
-            if c < 3:
-                self.table[i] = c + 1
-        else:
-            if c > 0:
-                self.table[i] = c - 1
-
     def predict_and_update(self, pc: int, taken: bool) -> bool:
-        """Fetch-time convenience: predict, then train on the trace outcome."""
-        pred = self.predict(pc)
+        """Predict the branch at ``pc`` from its counter, then train the
+        counter on the trace outcome ``taken``; returns the prediction.
+
+        Fetch calls this once per branch and the characterization walk
+        once per walked branch, so the lookup, the hit count and the
+        saturating update share one body.
+        """
+        table = self.table
+        i = (pc >> 2) & self._mask
+        c = table[i]
+        pred = c >= 2
+        self.lookups += 1
         if pred == taken:
             self.hits += 1
-        self.update(pc, taken)
+        if taken:
+            if c < 3:
+                table[i] = c + 1
+        elif c:
+            table[i] = c - 1
         return pred
 
     def fingerprint(self) -> tuple:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.isa.registers import FP_BASE, INT_ZERO, FP_ZERO, NUM_ARCH
+from repro.isa.registers import FP_BASE, NUM_ARCH, ZERO_REGS
 
 
 class RenameFile:
@@ -40,7 +40,7 @@ class RenameFile:
 
     def can_rename_dest(self, arch: int) -> bool:
         """True when a physical register is free for destination ``arch``."""
-        if arch == INT_ZERO or arch == FP_ZERO:
+        if arch in ZERO_REGS:
             return True
         free = self.free_ep if arch >= FP_BASE else self.free_ap
         return bool(free)
@@ -49,49 +49,63 @@ class RenameFile:
         """Current physical mapping of architectural register ``arch``."""
         return self.map[arch]
 
-    def srcs_of(self, srcs: tuple[int, ...]) -> tuple[int, ...]:
-        """Rename a source list, dropping hardwired-zero registers.
-
-        Unrolled for the 0/1/2-source shapes every trace instruction has;
-        dispatch calls this once per instruction.
-        """
-        m = self.map
-        n = len(srcs)
-        if n == 1:
-            s0 = srcs[0]
-            if s0 == INT_ZERO or s0 == FP_ZERO:
-                return ()
-            return (m[s0],)
-        if n == 2:
-            s0, s1 = srcs
-            if s0 == INT_ZERO or s0 == FP_ZERO:
-                if s1 == INT_ZERO or s1 == FP_ZERO:
-                    return ()
-                return (m[s1],)
-            if s1 == INT_ZERO or s1 == FP_ZERO:
-                return (m[s0],)
-            return (m[s0], m[s1])
-        return tuple(
-            m[s] for s in srcs if s != INT_ZERO and s != FP_ZERO
-        )
-
     # -- rename / undo / free ---------------------------------------------------
 
-    def rename_dest(self, arch: int) -> tuple[int, int]:
-        """Allocate a new physical register for ``arch``.
+    def rename_inst(self, d) -> bool:
+        """Rename dispatching instruction ``d`` in place; dispatch calls
+        this once per instruction.
 
-        Returns ``(pdest, old_pdest)``; for zero registers returns
-        ``(-1, -1)`` (writes are discarded). The caller must have checked
-        :meth:`can_rename_dest`.
+        Sources are read before the destination is mapped, so an
+        instruction that overwrites one of its own sources reads the
+        older mapping, and reads of a hardwired zero register are
+        dropped.  A store's first source (the address base) goes to
+        ``d.psrcs`` and its second (the data) to ``d.pdata``.  A
+        destination other than a zero register gets a fresh physical
+        register: its previous mapping goes to ``d.old_pdest`` and ``d``
+        becomes its producer.  Unrolled for the 0/1/2-source shapes
+        every trace instruction has.
+
+        Returns ``False``, changing nothing, when no physical register is
+        free for the destination.
         """
-        if arch == INT_ZERO or arch == FP_ZERO:
-            return -1, -1
-        free = self.free_ep if arch >= FP_BASE else self.free_ap
-        p = free.popleft()
-        old = self.map[arch]
-        self.map[arch] = p
-        self.ready[p] = 0
-        return p, old
+        s = d.static
+        dest = s.dest
+        free = None
+        if dest is not None and dest not in ZERO_REGS:
+            free = self.free_ep if dest >= FP_BASE else self.free_ap
+            if not free:
+                return False
+        m = self.map
+        srcs = s.srcs
+        n = len(srcs)
+        if s.is_store:
+            if n:
+                if srcs[0] not in ZERO_REGS:
+                    d.psrcs = (m[srcs[0]],)
+                if n > 1 and srcs[1] not in ZERO_REGS:
+                    d.pdata = m[srcs[1]]
+        elif n == 2:
+            s0, s1 = srcs
+            if s0 in ZERO_REGS:
+                if s1 not in ZERO_REGS:
+                    d.psrcs = (m[s1],)
+            elif s1 in ZERO_REGS:
+                d.psrcs = (m[s0],)
+            else:
+                d.psrcs = (m[s0], m[s1])
+        elif n == 1:
+            if srcs[0] not in ZERO_REGS:
+                d.psrcs = (m[srcs[0]],)
+        elif n:
+            d.psrcs = tuple(m[r] for r in srcs if r not in ZERO_REGS)
+        if free is not None:
+            p = free.popleft()
+            d.old_pdest = m[dest]
+            m[dest] = p
+            self.ready[p] = 0
+            d.pdest = p
+            self.producer[p] = d
+        return True
 
     def undo_rename(self, arch: int, pdest: int, old_pdest: int) -> None:
         """Reverse one rename during walk-back recovery (does not free

@@ -56,11 +56,7 @@ from repro.stats.counters import (
     SLOT_WRONG_PATH,
 )
 
-_OP_BRANCH = OpClass.BRANCH
 _OP_LOAD_F = OpClass.LOAD_F
-_OP_LOAD_I = OpClass.LOAD_I
-_OP_STORE_F = OpClass.STORE_F
-_OP_STORE_I = OpClass.STORE_I
 _UNIT_AP = Unit.AP
 _UNIT_EP = Unit.EP
 
@@ -112,7 +108,7 @@ class WritebackStage(Stage):
             p = inst.pdest
             if p >= 0:
                 t.rename.ready[p] = 1
-            if inst.static.op == _OP_BRANCH and not inst.wrong_path:
+            if inst.static.is_branch and not inst.wrong_path:
                 t.unresolved_branches -= 1
                 if inst.pred_taken != inst.static.taken:
                     self._squash(st, t, inst)
@@ -135,7 +131,7 @@ class WritebackStage(Stage):
         while rob and rob[-1].seq > seq:
             d = rob.pop()
             stats.squashed_instructions += 1
-            if d.static.op == _OP_BRANCH:
+            if d.static.is_branch:
                 t.unresolved_branches -= 1
                 t.branch_resume.pop(d.seq, None)
             if d.pdest >= 0:
@@ -167,10 +163,10 @@ class CommitStage(Stage):
         width = st.cfg.commit_width
         total = 0
         for t in st.threads:
-            n = width
             rob = t.rob
-            if not rob:
+            if not rob or rob[0].state != ST_COMPLETED:
                 continue
+            n = width
             rename = t.rename
             ready = rename.ready
             ap_regs = rename.ap_regs
@@ -255,8 +251,7 @@ def _issue_head_wake(st: MachineState, t: ThreadContext, d: DynInst):
     if _blocked_reason(t, d) is not None:
         return None
     s = d.static
-    op = s.op
-    if op != _OP_LOAD_F and op != _OP_LOAD_I:
+    if not s.is_load:
         return _ACT
     fwd = t.saq.find_older_match(s.addr, d.seq)
     if fwd is not None:
@@ -266,90 +261,53 @@ def _issue_head_wake(st: MachineState, t: ThreadContext, d: DynInst):
     return st.mem.refusal_wake(t.salted(s.addr), st.cycle, t.tid) or _ACT
 
 
-def _try_issue(st: MachineState, t: ThreadContext, d: DynInst, now: int):
-    """Attempt to issue one instruction.
+def _issue_load(st: MachineState, t: ThreadContext, d: DynInst, now: int) -> int:
+    """Start load ``d``'s access at cycle ``now``: forward from the
+    youngest older store to its address, or claim an L1 port and access
+    the memory system.
 
-    Returns ``None`` on success, else ``(slot_category, load, consumer)``
-    describing why the queue head is blocked.
+    Returns the cycle the loaded value is ready, or ``-1`` when the load
+    cannot issue this cycle (the forwarding store's data is not ready,
+    every port is taken, or the memory system refused the access); the
+    issue stage then records the head as ``SLOT_OTHER``.  An issued load
+    is counted, and marked ``load_miss`` when it did not hit.
     """
-    # operand scan: inlined copy of _blocked_reason (the hottest call site;
-    # the fast-forward differential test enforces the two stay in lockstep)
-    rename = t.rename
-    ready = rename.ready
-    for p in d.psrcs:
-        if not ready[p]:
-            prod = rename.producer[p]
-            if prod is not None and prod.load_miss and prod.state == ST_ISSUED:
-                return (SLOT_WAIT_MEM, prod, d)
-            return (SLOT_WAIT_FU, None, d)
     s = d.static
-    op = s.op
     stats = st.stats
-    # each site below pushes its completion event onto ``st.events``
-    # inline: one method call per issued instruction adds up
-    if op == _OP_LOAD_F or op == _OP_LOAD_I:
-        mem = st.mem
-        fwd = t.saq.find_older_match(s.addr, d.seq)
-        if fwd is not None:
-            if fwd.pdata >= 0 and not ready[fwd.pdata]:
-                return (SLOT_OTHER, None, d)
-            # store-to-load forwarding: completes like a hit
-            when = now + 1 + mem.hit_latency
-            if not d.wrong_path:
-                if op == _OP_LOAD_F:
-                    stats.loads_fp += 1
-                else:
-                    stats.loads_int += 1
+    mem = st.mem
+    fwd = t.saq.find_older_match(s.addr, d.seq)
+    if fwd is not None:
+        if fwd.pdata >= 0 and not t.rename.ready[fwd.pdata]:
+            return -1
+        # store-to-load forwarding: completes like a hit
+        if not d.wrong_path:
+            if s.op == _OP_LOAD_F:
+                stats.loads_fp += 1
+            else:
+                stats.loads_int += 1
+        return now + 1 + mem.hit_latency
+    if mem._ports_used >= mem.ports:
+        return -1
+    status, when = mem.load(t.salted(s.addr), now, t.tid)
+    if status == S_BLOCKED:
+        return -1
+    mem._ports_used += 1
+    if status != S_HIT:
+        d.load_miss = True
+    if not d.wrong_path:
+        if s.op == _OP_LOAD_F:
+            stats.loads_fp += 1
+            if status == S_MISS:
+                stats.load_misses_fp += 1
+            elif status != S_HIT:
+                stats.load_merged_fp += 1
         else:
-            if mem._ports_used >= mem.ports:
-                return (SLOT_OTHER, None, d)
-            status, when = mem.load(t.salted(s.addr), now, t.tid)
-            if status == S_BLOCKED:
-                return (SLOT_OTHER, None, d)
-            mem._ports_used += 1
-            when += 1  # +1: address generation
-            if status != S_HIT:
-                d.load_miss = True
-            if not d.wrong_path:
-                if op == _OP_LOAD_F:
-                    stats.loads_fp += 1
-                    if status == S_MISS:
-                        stats.load_misses_fp += 1
-                    elif status != S_HIT:
-                        stats.load_merged_fp += 1
-                else:
-                    stats.loads_int += 1
-                    if status == S_MISS:
-                        stats.load_misses_int += 1
-                    elif status != S_HIT:
-                        stats.load_merged_int += 1
-    elif d.unit == _UNIT_AP:
-        # IALU, BRANCH, ITOF, store address generation
-        when = now + st.cfg.ap_latency
-    else:
-        # FALU, FTOI
-        when = now + st.cfg.ep_latency
-    evseq = st.evseq + 1
-    st.evseq = evseq
-    heappush(st.events, (when, evseq, d))
-    d.state = ST_ISSUED
-    d.issue_cycle = now
-    stats.issued += 1
-    unit = int(d.unit)
-    if d.wrong_path:
-        stats.issued_wrong_path += 1
-        stats.slot_counts[unit][SLOT_WRONG_PATH] += 1
-    else:
-        stats.slot_counts[unit][SLOT_USEFUL] += 1
-        if unit == 1:
-            # slip: how far the AP's issue point runs ahead of the EP's
-            slip = t.last_ap_seq - d.seq
-            if slip > 0:
-                stats.slip_total += slip
-            stats.slip_samples += 1
-        elif d.seq > t.last_ap_seq:
-            t.last_ap_seq = d.seq
-    return None
+            stats.loads_int += 1
+            if status == S_MISS:
+                stats.load_misses_int += 1
+            elif status != S_HIT:
+                stats.load_merged_int += 1
+    return when + 1  # +1: address generation
 
 
 def _account_slots(
@@ -361,12 +319,14 @@ def _account_slots(
     fast-forward to bulk-account a run of cycles that share one blocked
     snapshot and round-robin phase.
     """
-    stats = st.stats
     if free <= 0:
         return
+    stats = st.stats
     counts = stats.slot_counts[unit]
-    if blocked:
-        k = len(blocked)
+    k = len(blocked)
+    if k == 1:
+        counts[blocked[0][0]] += free * times
+    elif k:
         for s in range(free):
             counts[blocked[s % k][0]] += times
     else:
@@ -379,8 +339,8 @@ def _account_slots(
         if attributed >= free:
             break
         if (
-            reason == SLOT_WAIT_MEM
-            and load is not None
+            load is not None
+            and reason == SLOT_WAIT_MEM
             and not load.wrong_path
             and not consumer.wrong_path
         ):
@@ -462,44 +422,134 @@ class DecoupledIssueStage(_IssueStage):
             yield t.iq.q[0]
 
     def tick(self, st: MachineState) -> None:
+        # Each queue head is issued inline: its readiness scan (p ends as
+        # the first unready source, or -1; a head that waits is classified
+        # by _blocked_reason), its completion event and its state.  Only
+        # loads leave the loop, for _issue_load; the EP never addresses
+        # memory, so its loop has no load path.  Issue-slot counts are
+        # summed per unit and added once, and _account_slots runs only
+        # when a free slot meets a blocked head.
         cfg = st.cfg
         now = st.cycle
         threads = st.threads
         n = len(threads)
         start = st.rr_issue
         st.rr_issue = (start + 1) % n
-        ap_free = cfg.ap_width
-        ap_blocked: list = []
-        for i in range(n):
-            if not ap_free:
-                break
-            t = threads[(start + i) % n]
-            q = t.aq.q
-            while ap_free and q:
-                res = _try_issue(st, t, q[0], now)
-                if res is None:
+        stats = st.stats
+        events = st.events
+        evseq = st.evseq
+        order = threads[start:] + threads[:start] if start else threads
+
+        width = free = cfg.ap_width
+        blocked: list = []
+        wrong = 0
+        if free:
+            done = now + cfg.ap_latency
+            for t in order:
+                q = t.aq.q
+                if not q:
+                    continue
+                ready = t.rename.ready
+                while q:
+                    d = q[0]
+                    for p in d.psrcs:
+                        if not ready[p]:
+                            break
+                    else:
+                        p = -1
+                    if p >= 0:
+                        blocked.append(_blocked_reason(t, d))
+                        break
+                    if d.static.is_load:
+                        when = _issue_load(st, t, d, now)
+                        if when < 0:
+                            blocked.append((SLOT_OTHER, None, d))
+                            break
+                    else:
+                        when = done
                     q.popleft()
-                    ap_free -= 1
-                else:
-                    ap_blocked.append(res)
+                    evseq += 1
+                    heappush(events, (when, evseq, d))
+                    d.state = ST_ISSUED
+                    d.issue_cycle = now
+                    if d.wrong_path:
+                        wrong += 1
+                    elif d.seq > t.last_ap_seq:
+                        t.last_ap_seq = d.seq
+                    free -= 1
+                    if not free:
+                        break
+                if not free:
                     break
-        ep_free = cfg.ep_width
-        ep_blocked: list = []
-        for i in range(n):
-            if not ep_free:
-                break
-            t = threads[(start + i) % n]
-            q = t.iq.q
-            while ep_free and q:
-                res = _try_issue(st, t, q[0], now)
-                if res is None:
+            row = stats.slot_counts[0]
+            row[SLOT_USEFUL] += width - free - wrong
+            if wrong:
+                row[SLOT_WRONG_PATH] += wrong
+            if free:
+                if blocked:
+                    _account_slots(st, 0, free, blocked)
+                else:
+                    row[SLOT_IDLE] += free
+        issued = width - free
+        wrong_total = wrong
+
+        width = free = cfg.ep_width
+        blocked = []
+        wrong = 0
+        if free:
+            done = now + cfg.ep_latency
+            slip_total = 0
+            for t in order:
+                q = t.iq.q
+                if not q:
+                    continue
+                ready = t.rename.ready
+                while q:
+                    d = q[0]
+                    for p in d.psrcs:
+                        if not ready[p]:
+                            break
+                    else:
+                        p = -1
+                    if p >= 0:
+                        blocked.append(_blocked_reason(t, d))
+                        break
                     q.popleft()
-                    ep_free -= 1
-                else:
-                    ep_blocked.append(res)
+                    evseq += 1
+                    heappush(events, (done, evseq, d))
+                    d.state = ST_ISSUED
+                    d.issue_cycle = now
+                    if d.wrong_path:
+                        wrong += 1
+                    else:
+                        # slip: how far the AP's issue point runs ahead
+                        slip = t.last_ap_seq - d.seq
+                        if slip > 0:
+                            slip_total += slip
+                    free -= 1
+                    if not free:
+                        break
+                if not free:
                     break
-        _account_slots(st, 0, ap_free, ap_blocked)
-        _account_slots(st, 1, ep_free, ep_blocked)
+            row = stats.slot_counts[1]
+            row[SLOT_USEFUL] += width - free - wrong
+            if wrong:
+                row[SLOT_WRONG_PATH] += wrong
+            if free:
+                if blocked:
+                    _account_slots(st, 1, free, blocked)
+                else:
+                    row[SLOT_IDLE] += free
+            # one slip sample per correct-path EP issue
+            stats.slip_total += slip_total
+            stats.slip_samples += width - free - wrong
+        st.evseq = evseq
+        issued += width - free
+        if issued:
+            stats.issued += issued
+            wrong_total += wrong
+            if wrong_total:
+                stats.issued_wrong_path += wrong_total
 
     def _probe(self, st: MachineState, start: int) -> tuple[list, list]:
         threads = st.threads
@@ -509,7 +559,7 @@ class DecoupledIssueStage(_IssueStage):
         ep_blocked: list = []
         # a head with all operands ready inside a window is a structurally
         # refused (or forwarding-data-blocked) load; tick records it as
-        # (SLOT_OTHER, None, head), exactly what _try_issue returns
+        # (SLOT_OTHER, None, head)
         if cfg.ap_width:
             for i in range(n):
                 t = threads[(start + i) % n]
@@ -545,43 +595,105 @@ class UnifiedIssueStage(_IssueStage):
                 yield d
 
     def tick(self, st: MachineState) -> None:
+        # DecoupledIssueStage.tick's inline issue over one queue that
+        # feeds both units: a head waits for a free slot of its own unit
         cfg = st.cfg
         now = st.cycle
         threads = st.threads
         n = len(threads)
         start = st.rr_issue
         st.rr_issue = (start + 1) % n
-        ap_free = cfg.ap_width
-        ep_free = cfg.ep_width
+        stats = st.stats
+        events = st.events
+        evseq = st.evseq
+        ap_width = ap_free = cfg.ap_width
+        ep_width = ep_free = cfg.ep_width
+        ap_done = now + cfg.ap_latency
+        ep_done = now + cfg.ep_latency
         ap_blocked: list = []
         ep_blocked: list = []
-        for i in range(n):
+        ap_wrong = ep_wrong = 0
+        slip_total = 0
+        for t in threads[start:] + threads[:start] if start else threads:
             if not ap_free and not ep_free:
                 break
-            t = threads[(start + i) % n]
             q = t.uq.q
+            if not q:
+                continue
+            ready = t.rename.ready
             while q:
                 d = q[0]
-                if d.unit == _UNIT_AP:
-                    if not ap_free:
+                ep = d.unit == _UNIT_EP
+                if ep:
+                    if not ep_free:
                         break
-                elif not ep_free:
+                elif not ap_free:
                     break
-                res = _try_issue(st, t, d, now)
-                if res is None:
-                    q.popleft()
-                    if d.unit == _UNIT_AP:
-                        ap_free -= 1
-                    else:
-                        ep_free -= 1
+                for p in d.psrcs:
+                    if not ready[p]:
+                        break
                 else:
-                    if d.unit == _UNIT_AP:
-                        ap_blocked.append(res)
-                    else:
-                        ep_blocked.append(res)
+                    p = -1
+                if p >= 0:
+                    (ep_blocked if ep else ap_blocked).append(
+                        _blocked_reason(t, d)
+                    )
                     break
-        _account_slots(st, 0, ap_free, ap_blocked)
-        _account_slots(st, 1, ep_free, ep_blocked)
+                if ep:
+                    when = ep_done
+                elif d.static.is_load:
+                    when = _issue_load(st, t, d, now)
+                    if when < 0:
+                        ap_blocked.append((SLOT_OTHER, None, d))
+                        break
+                else:
+                    when = ap_done
+                q.popleft()
+                evseq += 1
+                heappush(events, (when, evseq, d))
+                d.state = ST_ISSUED
+                d.issue_cycle = now
+                if ep:
+                    ep_free -= 1
+                    if d.wrong_path:
+                        ep_wrong += 1
+                    else:
+                        slip = t.last_ap_seq - d.seq
+                        if slip > 0:
+                            slip_total += slip
+                else:
+                    ap_free -= 1
+                    if d.wrong_path:
+                        ap_wrong += 1
+                    elif d.seq > t.last_ap_seq:
+                        t.last_ap_seq = d.seq
+        st.evseq = evseq
+        counts = stats.slot_counts
+        row = counts[0]
+        row[SLOT_USEFUL] += ap_width - ap_free - ap_wrong
+        if ap_wrong:
+            row[SLOT_WRONG_PATH] += ap_wrong
+        if ap_free:
+            if ap_blocked:
+                _account_slots(st, 0, ap_free, ap_blocked)
+            else:
+                row[SLOT_IDLE] += ap_free
+        row = counts[1]
+        row[SLOT_USEFUL] += ep_width - ep_free - ep_wrong
+        if ep_wrong:
+            row[SLOT_WRONG_PATH] += ep_wrong
+        if ep_free:
+            if ep_blocked:
+                _account_slots(st, 1, ep_free, ep_blocked)
+            else:
+                row[SLOT_IDLE] += ep_free
+        issued = ap_width - ap_free + ep_width - ep_free
+        if issued:
+            stats.issued += issued
+            if ap_wrong or ep_wrong:
+                stats.issued_wrong_path += ap_wrong + ep_wrong
+            stats.slip_total += slip_total
+            stats.slip_samples += ep_width - ep_free - ep_wrong
 
     def _probe(self, st: MachineState, start: int) -> tuple[list, list]:
         threads = st.threads
@@ -623,18 +735,19 @@ class StoreDrainStage(Stage):
         mem = st.mem
         now = st.cycle
         stats = st.stats
+        ports = mem.ports
         for t in st.threads:
             saq = t.saq
             while saq.q:
                 d = saq.q[0]
                 if not d.store_ready or d.mem_done:
                     break
-                if not mem.port_available():
+                if mem._ports_used >= ports:
                     return
                 status, _when = mem.store(t.salted(d.static.addr), now, t.tid)
                 if status == S_BLOCKED:
                     break
-                mem.claim_port()
+                mem._ports_used += 1
                 d.mem_done = True
                 saq.release_head()
                 stats.stores += 1
@@ -700,10 +813,9 @@ class DispatchStage(Stage):
         if len(t.rob) >= cfg.rob_size:
             return False
         s = d.static
-        op = s.op
-        if op == _OP_BRANCH and t.unresolved_branches >= cfg.max_unresolved_branches:
+        if s.is_branch and t.unresolved_branches >= cfg.max_unresolved_branches:
             return False
-        if op == _OP_STORE_F or op == _OP_STORE_I:
+        if s.is_store:
             saq = t.saq
             if len(saq.q) >= saq.capacity:
                 return False
@@ -719,11 +831,10 @@ class DispatchStage(Stage):
         return True
 
     def tick(self, st: MachineState) -> None:
-        # can_dispatch's checks and the dispatch itself, inlined with the
-        # per-tick config hoisted into locals: this is the hottest stage
-        # on busy workloads.  can_dispatch stays for next_wake_cycle; the
-        # fast-forward differential suite keeps the two copies of its
-        # checks in lockstep.
+        # can_dispatch's checks and the dispatch itself, inlined, with
+        # RenameFile.rename_inst making the rename check and the rename
+        # in one call.  can_dispatch stays for next_wake_cycle; the
+        # fast-forward differential suite keeps the two in lockstep.
         cfg = st.cfg
         budget = cfg.dispatch_width
         threads = st.threads
@@ -734,61 +845,47 @@ class DispatchStage(Stage):
         max_branches = cfg.max_unresolved_branches
         decoupled = cfg.decoupled
         dispatched = 0
-        for i in range(n):
-            if not budget:
-                break
-            t = threads[(start + i) % n]
+        for t in threads[start:] + threads[:start] if start else threads:
             buf = t.fetch_buf
             if not buf:
                 continue
             rob = t.rob
             rename = t.rename
-            saq = t.saq
-            while budget and buf:
-                d = buf[0]
+            while buf:
                 if len(rob) >= rob_size:
                     break
+                d = buf[0]
                 s = d.static
-                op = s.op
-                is_store = op == _OP_STORE_F or op == _OP_STORE_I
-                if (
-                    op == _OP_BRANCH
-                    and t.unresolved_branches >= max_branches
-                ):
-                    break
-                if is_store and len(saq.q) >= saq.capacity:
-                    break
-                if decoupled:
-                    q = t.iq if d.unit == _UNIT_EP else t.aq
-                else:
+                if s.is_branch:
+                    if t.unresolved_branches >= max_branches:
+                        break
+                elif s.is_store:
+                    saq = t.saq
+                    if len(saq.q) >= saq.capacity:
+                        break
+                if not decoupled:
                     q = t.uq
+                elif d.unit == _UNIT_EP:
+                    q = t.iq
+                else:
+                    q = t.aq
                 if len(q.q) >= q.capacity:
                     break
-                dest = s.dest
-                if dest is not None and not rename.can_rename_dest(dest):
+                if not rename.rename_inst(d):
                     break
                 buf.popleft()
-                if is_store:
-                    srcs = s.srcs
-                    d.psrcs = rename.srcs_of(srcs[:1])
-                    if len(srcs) > 1:
-                        data = srcs[1]
-                        if data != 31 and data != 63:  # hardwired zeros
-                            d.pdata = rename.map[data]
-                    saq.push(d)
-                else:
-                    d.psrcs = rename.srcs_of(s.srcs)
-                if dest is not None:
-                    pdest, d.old_pdest = rename.rename_dest(dest)
-                    d.pdest = pdest
-                    if pdest >= 0:
-                        rename.producer[pdest] = d
-                if op == _OP_BRANCH:
-                    t.unresolved_branches += 1
                 q.q.append(d)
+                if s.is_branch:
+                    t.unresolved_branches += 1
+                elif s.is_store:
+                    saq.push(d)
                 rob.append(d)
                 dispatched += 1
                 budget -= 1
+                if not budget:
+                    break
+            if not budget:
+                break
         if dispatched:
             st.stats.dispatched += dispatched
 
@@ -824,33 +921,29 @@ class FetchStage(Stage):
         # The trace walk is inlined (ThreadContext.advance stays the
         # reference implementation): per fetched instruction the split
         # version paid a __getitem__, a __len__ and an advance() call.
+        # Every fetched instruction takes one sequence number, so the
+        # fetch count is the distance the thread's seq moved.
         cfg = st.cfg
-        stats = st.stats
         buf = t.fetch_buf
-        buf_append = buf.append
-        n = min(cfg.fetch_width, cfg.fetch_buffer - len(buf))
+        n = cfg.fetch_buffer - len(buf)
+        if n > cfg.fetch_width:
+            n = cfg.fetch_width
         now = st.cycle
         tid = t.tid
-        fetched = 0
-        wp_fetched = 0
-        trace = t.trace
-        insts = trace._insts
-        tlen = len(insts)
-        playlist = t.playlist
-        wrap = t.wrap
-        bht = t.bht
-        seq = t.seq
+        seq = first = t.seq
         pos = t.pos
+        insts = t.trace._insts
+        tlen = len(insts)
+        wrong_path = t.wrong_path
+        wp_fetched = 0
         while n > 0:
-            if t.wrong_path:
-                s = t.next_wp_inst()
-                d = DynInst(s, tid, seq, True)
+            n -= 1
+            if wrong_path:
+                d = DynInst(t.next_wp_inst(), tid, seq, True)
                 seq += 1
                 d.fetch_cycle = now
-                buf_append(d)
-                fetched += 1
+                buf.append(d)
                 wp_fetched += 1
-                n -= 1
                 continue
             if pos >= tlen:  # exhausted (finite program)
                 break
@@ -858,33 +951,32 @@ class FetchStage(Stage):
             d = DynInst(s, tid, seq, False)
             seq += 1
             d.fetch_cycle = now
+            buf.append(d)
             pos += 1
-            if pos >= tlen and (wrap or t.play_idx + 1 < len(playlist)):
-                play_idx = (t.play_idx + 1) % len(playlist)
-                t.play_idx = play_idx
-                trace = playlist[play_idx]
-                t.trace = trace
+            if pos >= tlen and (t.wrap or t.play_idx + 1 < len(t.playlist)):
+                playlist = t.playlist
+                t.play_idx = play_idx = (t.play_idx + 1) % len(playlist)
+                t.trace = trace = playlist[play_idx]
                 insts = trace._insts
                 tlen = len(insts)
                 pos = 0
-            buf_append(d)
-            fetched += 1
-            n -= 1
-            if s.op == _OP_BRANCH:
-                pred = bht.predict_and_update(s.pc, s.taken)
+            if s.is_branch:
+                stats = st.stats
+                pred = t.bht.predict_and_update(s.pc, s.taken)
                 d.pred_taken = pred
                 stats.branches += 1
                 if pred != s.taken:
                     stats.branch_mispredicts += 1
-                    t.wrong_path = True
+                    t.wrong_path = wrong_path = True
                     # mark_resume, from the already-advanced locals
                     t.branch_resume[d.seq] = (t.play_idx, pos)
                 if pred:
                     break  # a predicted-taken branch ends the fetch group
         t.pos = pos
         t.seq = seq
-        if fetched:
-            stats.fetched += fetched
+        if seq != first:
+            stats = st.stats
+            stats.fetched += seq - first
             if wp_fetched:
                 stats.fetched_wrong_path += wp_fetched
 
@@ -899,16 +991,21 @@ class FetchStage(Stage):
             if len(t.fetch_buf) < buffer:
                 self._fetch_thread(st, t)
             return
-        cands = [t for t in threads if len(t.fetch_buf) < buffer]
-        if not cands:
-            return
+        # Candidates in I-COUNT order: fewest buffered instructions first,
+        # ties in rotation order from this cycle's start thread (the "rr"
+        # policy keeps only the rotation).  One int per candidate encodes
+        # both keys, and threads[tid] is thread tid, so the key also
+        # names the thread: (key + start) % n.
         start = st.cycle % n
-        if cfg.fetch_policy == "icount":
-            cands.sort(key=lambda t: (len(t.fetch_buf), (t.tid - start) % n))
-        else:
-            cands.sort(key=lambda t: (t.tid - start) % n)
-        for t in cands[: cfg.fetch_threads]:
-            self._fetch_thread(st, t)
+        per_buffered = n if cfg.fetch_policy == "icount" else 0
+        keys = []
+        for t in threads:
+            b = len(t.fetch_buf)
+            if b < buffer:
+                keys.append(b * per_buffered + (t.tid - start) % n)
+        keys.sort()
+        for key in keys[: cfg.fetch_threads]:
+            self._fetch_thread(st, threads[(key + start) % n])
 
     def next_wake_cycle(self, st: MachineState):
         # buffer space opens only when dispatch drains it; a thread with

@@ -260,14 +260,9 @@ class MemorySystem:
     # -- per-cycle arbitration -------------------------------------------------
 
     def begin_cycle(self) -> None:
-        """Reset the per-cycle port allocation."""
+        """Free every L1 port: the stages that access memory claim one
+        by counting ``_ports_used`` up to ``ports``."""
         self._ports_used = 0
-
-    def port_available(self) -> bool:
-        return self._ports_used < self.ports
-
-    def claim_port(self) -> None:
-        self._ports_used += 1
 
     # -- the miss path ----------------------------------------------------------
 

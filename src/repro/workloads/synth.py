@@ -423,12 +423,15 @@ def synthesize(profile: BenchProfile, n_instrs: int, seed: int = 0) -> Trace:
 
 
 @lru_cache(maxsize=128)
-def profile_trace(profile: BenchProfile, n_instrs: int, seed: int = 0) -> Trace:
+def profile_trace(profile: BenchProfile, n_instrs: int, seed: int, /) -> Trace:
     """A (cached) synthetic trace for one resolved profile.
 
     Keyed by the frozen profile *value* (not its name), so two inline
     variants of the same benchmark never share a trace — the invariant
     :meth:`~repro.workloads.spec.WorkloadSpec.playlists` relies on.
+    The cache keys on the shape of the call as well as its values, so
+    every argument is positional and required: one call shape per
+    ``(profile, n_instrs, seed)``, hence one trace.
 
     The trace is deferred (:meth:`Trace.deferred`): this call
     synthesizes nothing, and the first reader of its instructions in

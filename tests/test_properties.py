@@ -143,10 +143,10 @@ def test_rename_walkback_is_exact_inverse(archs):
     before_free = (list(r.free_ap), list(r.free_ep))
     done = []
     for arch in archs:
-        if not r.can_rename_dest(arch):
+        d = DynInst(StaticInst(0x100, OpClass.IALU, arch), 0, 0, False)
+        if not r.rename_inst(d):
             break
-        p, old = r.rename_dest(arch)
-        done.append((arch, p, old))
+        done.append((arch, d.pdest, d.old_pdest))
     for arch, p, old in reversed(done):
         r.undo_rename(arch, p, old)
         r.free(p)

@@ -71,10 +71,23 @@ class TestCaching:
         b = profile_trace(get_profile("mgrid"), 1500, 1)
         assert a is not b
 
+    def test_one_call_shape_per_trace(self):
+        # the cache keys on the call's shape, so a defaulted or keyword
+        # seed would key a second copy of the same trace
+        p = get_profile("mgrid")
+        with pytest.raises(TypeError):
+            profile_trace(p, 1500)
+        with pytest.raises(TypeError):
+            profile_trace(p, 1500, seed=0)
+        before = profile_trace.cache_info().misses
+        a = profile_trace(p, 1501, 0)
+        assert profile_trace(p, 1501, 0) is a
+        assert profile_trace.cache_info().misses == before + 1
+
     def test_refuses_a_length_that_would_build_an_empty_trace(self):
         # a deferred trace must be non-empty before it is built
         with pytest.raises(ValueError):
-            profile_trace(get_profile("mgrid"), 0)
+            profile_trace(get_profile("mgrid"), 0, 0)
 
 
 class TestSingleProgram:
