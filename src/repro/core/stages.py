@@ -482,16 +482,18 @@ class DecoupledIssueStage(_IssueStage):
                 if not free:
                     break
             row = stats.slot_counts[0]
-            row[SLOT_USEFUL] += width - free - wrong
-            if wrong:
-                row[SLOT_WRONG_PATH] += wrong
+            issued = width - free
+            if issued:
+                stats.issued += issued
+                row[SLOT_USEFUL] += issued - wrong
+                if wrong:
+                    row[SLOT_WRONG_PATH] += wrong
+                    stats.issued_wrong_path += wrong
             if free:
                 if blocked:
                     _account_slots(st, 0, free, blocked)
                 else:
                     row[SLOT_IDLE] += free
-        issued = width - free
-        wrong_total = wrong
 
         width = free = cfg.ep_width
         blocked = []
@@ -532,24 +534,22 @@ class DecoupledIssueStage(_IssueStage):
                 if not free:
                     break
             row = stats.slot_counts[1]
-            row[SLOT_USEFUL] += width - free - wrong
-            if wrong:
-                row[SLOT_WRONG_PATH] += wrong
+            issued = width - free
+            if issued:
+                stats.issued += issued
+                row[SLOT_USEFUL] += issued - wrong
+                if wrong:
+                    row[SLOT_WRONG_PATH] += wrong
+                    stats.issued_wrong_path += wrong
+                # one slip sample per correct-path EP issue
+                stats.slip_total += slip_total
+                stats.slip_samples += issued - wrong
             if free:
                 if blocked:
                     _account_slots(st, 1, free, blocked)
                 else:
                     row[SLOT_IDLE] += free
-            # one slip sample per correct-path EP issue
-            stats.slip_total += slip_total
-            stats.slip_samples += width - free - wrong
         st.evseq = evseq
-        issued += width - free
-        if issued:
-            stats.issued += issued
-            wrong_total += wrong
-            if wrong_total:
-                stats.issued_wrong_path += wrong_total
 
     def _probe(self, st: MachineState, start: int) -> tuple[list, list]:
         threads = st.threads
