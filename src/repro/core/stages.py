@@ -319,14 +319,12 @@ def _account_slots(
     fast-forward to bulk-account a run of cycles that share one blocked
     snapshot and round-robin phase.
     """
+    stats = st.stats
     if free <= 0:
         return
-    stats = st.stats
     counts = stats.slot_counts[unit]
-    k = len(blocked)
-    if k == 1:
-        counts[blocked[0][0]] += free * times
-    elif k:
+    if blocked:
+        k = len(blocked)
         for s in range(free):
             counts[blocked[s % k][0]] += times
     else:
@@ -339,8 +337,8 @@ def _account_slots(
         if attributed >= free:
             break
         if (
-            load is not None
-            and reason == SLOT_WAIT_MEM
+            reason == SLOT_WAIT_MEM
+            and load is not None
             and not load.wrong_path
             and not consumer.wrong_path
         ):
