@@ -481,7 +481,6 @@ def _cmd_conformance(args) -> int:
         seed=args.seed,
         engine=engine,
         tolerance=args.tolerance,
-        timing_specs=args.timing_specs,
         progress=lambda msg: print(f"[conformance] {msg}", file=sys.stderr),
     )
     print(conf_mod.render_conformance(doc))
@@ -1002,9 +1001,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run both backends over the paper's Figure-4 grid, report "
             "per-cell and aggregate error on IPC / perceived latency / "
-            "bus utilization, and measure the analytic backend's sweep "
-            "throughput. Exits non-zero when the mean absolute IPC error "
-            "exceeds the tolerance (CI gates on this)."
+            "bus utilization. Exits non-zero when the mean absolute IPC "
+            "error exceeds the tolerance (CI gates on this)."
         ),
     )
     p.add_argument(
@@ -1016,12 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FRAC",
         help="mean absolute relative IPC error allowed "
              f"(default: {conf_mod.TOLERANCE_IPC})",
-    )
-    p.add_argument(
-        "--timing-specs", type=int, default=conf_mod.TIMING_SPECS,
-        metavar="N",
-        help="size of the analytic timing sweep (0 disables; "
-             f"default: {conf_mod.TIMING_SPECS})",
     )
     p.add_argument(
         "--output", default=None, metavar="PATH",

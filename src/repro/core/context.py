@@ -157,9 +157,6 @@ class ThreadContext:
 
     # -- trace walking -------------------------------------------------------------
 
-    def cur_static(self):
-        return self.trace[self.pos]
-
     def advance(self) -> None:
         """Move to the next correct-path instruction (wrapping the playlist
         unless this context runs a finite program)."""

@@ -231,13 +231,6 @@ class Processor:
             self._raise_deadlock()
         return k
 
-    def _progress_mark(self) -> int:
-        """Cheap monotone counter that changes whenever a cycle moved any
-        instruction through the pipeline; used to gate fast-forward
-        attempts so busy cycles pay one integer sum, not a full scan."""
-        s = self.state.stats
-        return s.fetched + s.dispatched + s.issued + s.committed + s.stores
-
     def finished(self) -> bool:
         """True when a finite (non-wrapping) run has fully drained."""
         st = self.state
@@ -288,9 +281,6 @@ class Processor:
         if max_commits is None and max_cycles is None:
             raise ValueError("need at least one stop condition")
         st = self.state
-        # a tick-driven prefetcher mutates memory state on a clock the
-        # skip() contract cannot replay; fall back to the per-cycle walk
-        fast_forward = fast_forward and st.mem.fast_forward_safe
         if warmup_commits:
             # the warm-up loop intentionally ignores finite-drain: a
             # finite program too short for its warm-up budget hits the
@@ -319,11 +309,14 @@ class Processor:
         """The hot cycle loop of one region (warm-up or measured).
 
         Semantically ``while not done: step()`` plus idle-window jumps,
-        with ``step()`` and ``_progress_mark()`` inlined: per simulated
-        cycle the factored version paid two method calls, twelve stats
+        with ``step()`` and the idle hint inlined: per simulated cycle
+        the factored version paid two method calls, twelve stats
         attribute reads and six ``.tick`` attribute resolutions — all
-        loop-invariant. ``step()`` stays the reference single-cycle
-        entry point for tracers and tests.
+        loop-invariant. The hint, one sum of five stats counters taken
+        before and after the cycle, lets a jump be tried only after a
+        cycle that moved no instruction, so busy cycles pay an integer
+        sum, not a full scan. ``step()`` stays the reference
+        single-cycle entry point for tracers and tests.
         """
         st = self.state
         mem = st.mem

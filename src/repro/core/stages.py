@@ -57,7 +57,6 @@ from repro.stats.counters import (
 )
 
 _OP_LOAD_F = OpClass.LOAD_F
-_UNIT_AP = Unit.AP
 _UNIT_EP = Unit.EP
 
 
@@ -320,8 +319,6 @@ def _account_slots(
     snapshot and round-robin phase.
     """
     stats = st.stats
-    if free <= 0:
-        return
     counts = stats.slot_counts[unit]
     if blocked:
         k = len(blocked)
@@ -351,21 +348,21 @@ def _account_slots(
 
 class _IssueStage(Stage):
     """Shared skeleton of the two issue variants: round-robin rotation,
-    wake computation (the earliest cycle any width-gated queue head could
-    issue or change shape) and bulk slot/refusal accounting over a
+    wake computation (the earliest cycle any queue head could issue or
+    change shape) and bulk slot/refusal accounting over a
     fast-forward window."""
 
     __slots__ = ()
 
-    def _wake_heads(self, st: MachineState, t: ThreadContext):
-        """Yield the width-gated queue heads of one thread — exactly the
-        instructions :meth:`tick` would evaluate first per queue."""
+    def _wake_heads(self, t: ThreadContext):
+        """Yield the queue heads of one thread — exactly the instructions
+        :meth:`tick` would evaluate first per queue."""
         raise NotImplementedError
 
     def next_wake_cycle(self, st: MachineState):
         wake = None
         for t in st.threads:
-            for d in self._wake_heads(st, t):
+            for d in self._wake_heads(t):
                 w = _issue_head_wake(st, t, d)
                 if w is None:
                     continue
@@ -376,11 +373,24 @@ class _IssueStage(Stage):
                     wake = c
         return wake
 
-    def _probe(self, st: MachineState, start: int) -> tuple[list, list]:
-        """Blocked-head snapshot per unit for one round-robin phase,
-        mirroring the visiting order of :meth:`tick` when nothing can
-        issue (the fast-forward eligibility condition)."""
-        raise NotImplementedError
+    def _probe(self, st: MachineState, start: int) -> list[list]:
+        """Blocked-head snapshot per unit (indexed by :class:`Unit`) for
+        one round-robin phase, mirroring the visiting order of
+        :meth:`tick` when nothing can issue (the fast-forward eligibility
+        condition).  A head with all operands ready inside a window is a
+        structurally refused (or forwarding-data-blocked) load; tick
+        records it as ``(SLOT_OTHER, None, head)``."""
+        threads = st.threads
+        n = len(threads)
+        blocked: list[list] = [[], []]
+        for i in range(n):
+            t = threads[(start + i) % n]
+            for d in self._wake_heads(t):
+                r = _blocked_reason(t, d)
+                blocked[d.unit].append(
+                    r if r is not None else (SLOT_OTHER, None, d)
+                )
+        return blocked
 
     def skip(self, st: MachineState, k: int) -> None:
         n = len(st.threads)
@@ -395,11 +405,11 @@ class _IssueStage(Stage):
         st.rr_issue = (start + k) % n
         # Structurally refused loads re-probed the memory system once per
         # cycle per head (issue widths never exhaust inside a window, so
-        # every thread's gated heads were visited every cycle regardless
+        # every thread's heads were visited every cycle regardless
         # of round-robin phase): replay those k refusals per head.
         mem = st.mem
         for t in st.threads:
-            for d in self._wake_heads(st, t):
+            for d in self._wake_heads(t):
                 w = _issue_head_wake(st, t, d)
                 if w is not None and w is not _ACT:
                     mem.replay_refusals(w[1], k)
@@ -412,11 +422,10 @@ class DecoupledIssueStage(_IssueStage):
     __slots__ = ()
     name = "issue/decoupled"
 
-    def _wake_heads(self, st: MachineState, t: ThreadContext):
-        cfg = st.cfg
-        if cfg.ap_width and t.aq.q:
+    def _wake_heads(self, t: ThreadContext):
+        if t.aq.q:
             yield t.aq.q[0]
-        if cfg.ep_width and t.iq.q:
+        if t.iq.q:
             yield t.iq.q[0]
 
     def tick(self, st: MachineState) -> None:
@@ -441,140 +450,111 @@ class DecoupledIssueStage(_IssueStage):
         width = free = cfg.ap_width
         blocked: list = []
         wrong = 0
-        if free:
-            done = now + cfg.ap_latency
-            for t in order:
-                q = t.aq.q
-                if not q:
-                    continue
-                ready = t.rename.ready
-                while q:
-                    d = q[0]
-                    for p in d.psrcs:
-                        if not ready[p]:
-                            break
-                    else:
-                        p = -1
-                    if p >= 0:
-                        blocked.append(_blocked_reason(t, d))
+        done = now + cfg.ap_latency
+        for t in order:
+            q = t.aq.q
+            if not q:
+                continue
+            ready = t.rename.ready
+            while q:
+                d = q[0]
+                for p in d.psrcs:
+                    if not ready[p]:
                         break
-                    if d.static.is_load:
-                        when = _issue_load(st, t, d, now)
-                        if when < 0:
-                            blocked.append((SLOT_OTHER, None, d))
-                            break
-                    else:
-                        when = done
-                    q.popleft()
-                    evseq += 1
-                    heappush(events, (when, evseq, d))
-                    d.state = ST_ISSUED
-                    d.issue_cycle = now
-                    if d.wrong_path:
-                        wrong += 1
-                    elif d.seq > t.last_ap_seq:
-                        t.last_ap_seq = d.seq
-                    free -= 1
-                    if not free:
+                else:
+                    p = -1
+                if p >= 0:
+                    blocked.append(_blocked_reason(t, d))
+                    break
+                if d.static.is_load:
+                    when = _issue_load(st, t, d, now)
+                    if when < 0:
+                        blocked.append((SLOT_OTHER, None, d))
                         break
+                else:
+                    when = done
+                q.popleft()
+                evseq += 1
+                heappush(events, (when, evseq, d))
+                d.state = ST_ISSUED
+                d.issue_cycle = now
+                if d.wrong_path:
+                    wrong += 1
+                elif d.seq > t.last_ap_seq:
+                    t.last_ap_seq = d.seq
+                free -= 1
                 if not free:
                     break
-            row = stats.slot_counts[0]
-            issued = width - free
-            if issued:
-                stats.issued += issued
-                row[SLOT_USEFUL] += issued - wrong
-                if wrong:
-                    row[SLOT_WRONG_PATH] += wrong
-                    stats.issued_wrong_path += wrong
-            if free:
-                if blocked:
-                    _account_slots(st, 0, free, blocked)
-                else:
-                    row[SLOT_IDLE] += free
+            if not free:
+                break
+        row = stats.slot_counts[0]
+        issued = width - free
+        if issued:
+            stats.issued += issued
+            row[SLOT_USEFUL] += issued - wrong
+            if wrong:
+                row[SLOT_WRONG_PATH] += wrong
+                stats.issued_wrong_path += wrong
+        if free:
+            if blocked:
+                _account_slots(st, 0, free, blocked)
+            else:
+                row[SLOT_IDLE] += free
 
         width = free = cfg.ep_width
         blocked = []
         wrong = 0
-        if free:
-            done = now + cfg.ep_latency
-            slip_total = 0
-            for t in order:
-                q = t.iq.q
-                if not q:
-                    continue
-                ready = t.rename.ready
-                while q:
-                    d = q[0]
-                    for p in d.psrcs:
-                        if not ready[p]:
-                            break
-                    else:
-                        p = -1
-                    if p >= 0:
-                        blocked.append(_blocked_reason(t, d))
+        done = now + cfg.ep_latency
+        slip_total = 0
+        for t in order:
+            q = t.iq.q
+            if not q:
+                continue
+            ready = t.rename.ready
+            while q:
+                d = q[0]
+                for p in d.psrcs:
+                    if not ready[p]:
                         break
-                    q.popleft()
-                    evseq += 1
-                    heappush(events, (done, evseq, d))
-                    d.state = ST_ISSUED
-                    d.issue_cycle = now
-                    if d.wrong_path:
-                        wrong += 1
-                    else:
-                        # slip: how far the AP's issue point runs ahead
-                        slip = t.last_ap_seq - d.seq
-                        if slip > 0:
-                            slip_total += slip
-                    free -= 1
-                    if not free:
-                        break
+                else:
+                    p = -1
+                if p >= 0:
+                    blocked.append(_blocked_reason(t, d))
+                    break
+                q.popleft()
+                evseq += 1
+                heappush(events, (done, evseq, d))
+                d.state = ST_ISSUED
+                d.issue_cycle = now
+                if d.wrong_path:
+                    wrong += 1
+                else:
+                    # slip: how far the AP's issue point runs ahead
+                    slip = t.last_ap_seq - d.seq
+                    if slip > 0:
+                        slip_total += slip
+                free -= 1
                 if not free:
                     break
-            row = stats.slot_counts[1]
-            issued = width - free
-            if issued:
-                stats.issued += issued
-                row[SLOT_USEFUL] += issued - wrong
-                if wrong:
-                    row[SLOT_WRONG_PATH] += wrong
-                    stats.issued_wrong_path += wrong
-                # one slip sample per correct-path EP issue
-                stats.slip_total += slip_total
-                stats.slip_samples += issued - wrong
-            if free:
-                if blocked:
-                    _account_slots(st, 1, free, blocked)
-                else:
-                    row[SLOT_IDLE] += free
+            if not free:
+                break
+        row = stats.slot_counts[1]
+        issued = width - free
+        if issued:
+            stats.issued += issued
+            row[SLOT_USEFUL] += issued - wrong
+            if wrong:
+                row[SLOT_WRONG_PATH] += wrong
+                stats.issued_wrong_path += wrong
+            # one slip sample per correct-path EP issue
+            stats.slip_total += slip_total
+            stats.slip_samples += issued - wrong
+        if free:
+            if blocked:
+                _account_slots(st, 1, free, blocked)
+            else:
+                row[SLOT_IDLE] += free
         st.evseq = evseq
-
-    def _probe(self, st: MachineState, start: int) -> tuple[list, list]:
-        threads = st.threads
-        n = len(threads)
-        cfg = st.cfg
-        ap_blocked: list = []
-        ep_blocked: list = []
-        # a head with all operands ready inside a window is a structurally
-        # refused (or forwarding-data-blocked) load; tick records it as
-        # (SLOT_OTHER, None, head)
-        if cfg.ap_width:
-            for i in range(n):
-                t = threads[(start + i) % n]
-                q = t.aq.q
-                if q:
-                    d = q[0]
-                    r = _blocked_reason(t, d)
-                    ap_blocked.append(r if r is not None else (SLOT_OTHER, None, d))
-        if cfg.ep_width:
-            for i in range(n):
-                t = threads[(start + i) % n]
-                q = t.iq.q
-                if q:
-                    d = q[0]
-                    r = _blocked_reason(t, d)
-                    ep_blocked.append(r if r is not None else (SLOT_OTHER, None, d))
-        return ap_blocked, ep_blocked
 
 
 class UnifiedIssueStage(_IssueStage):
@@ -584,13 +564,9 @@ class UnifiedIssueStage(_IssueStage):
     __slots__ = ()
     name = "issue/unified"
 
-    def _wake_heads(self, st: MachineState, t: ThreadContext):
-        q = t.uq.q
-        if q:
-            d = q[0]
-            cfg = st.cfg
-            if cfg.ap_width if d.unit == _UNIT_AP else cfg.ep_width:
-                yield d
+    def _wake_heads(self, t: ThreadContext):
+        if t.uq.q:
+            yield t.uq.q[0]
 
     def tick(self, st: MachineState) -> None:
         # DecoupledIssueStage.tick's inline issue over one queue that
@@ -692,32 +668,6 @@ class UnifiedIssueStage(_IssueStage):
                 stats.issued_wrong_path += ap_wrong + ep_wrong
             stats.slip_total += slip_total
             stats.slip_samples += ep_width - ep_free - ep_wrong
-
-    def _probe(self, st: MachineState, start: int) -> tuple[list, list]:
-        threads = st.threads
-        n = len(threads)
-        cfg = st.cfg
-        ap_blocked: list = []
-        ep_blocked: list = []
-        if cfg.ap_width or cfg.ep_width:
-            for i in range(n):
-                t = threads[(start + i) % n]
-                q = t.uq.q
-                if not q:
-                    continue
-                d = q[0]
-                if d.unit == _UNIT_AP:
-                    if cfg.ap_width:
-                        r = _blocked_reason(t, d)
-                        ap_blocked.append(
-                            r if r is not None else (SLOT_OTHER, None, d)
-                        )
-                elif cfg.ep_width:
-                    r = _blocked_reason(t, d)
-                    ep_blocked.append(
-                        r if r is not None else (SLOT_OTHER, None, d)
-                    )
-        return ap_blocked, ep_blocked
 
 
 # ----------------------------------------------------------------- store drain
@@ -983,7 +933,7 @@ class FetchStage(Stage):
         threads = st.threads
         n = len(threads)
         buffer = cfg.fetch_buffer
-        if n == 1 and cfg.fetch_threads > 0:
+        if n == 1:
             # no competition: skip candidate selection entirely
             t = threads[0]
             if len(t.fetch_buf) < buffer:

@@ -12,17 +12,13 @@ aggregate error on the three headline metrics:
 * **Bus utilization** — absolute error (the metric is already a
   fraction).
 
-The driver also measures wall-clock: the cycle grid through the engine
-(cache-aware — per-run cost is only reported when something actually
-simulated) and a :data:`TIMING_SPECS`-point analytic sweep executed
-directly, from which the headline ``sweep speedup`` is derived. The CLI
-(``repro-sim conformance``) exits non-zero when the IPC tolerance is
-exceeded, which is what the CI conformance smoke step gates on.
+The document also carries the engine's counters for the cycle grid
+(how many cells were cached or simulated). The CLI (``repro-sim
+conformance``) exits non-zero when the IPC tolerance is exceeded, which
+is what the CI conformance smoke step gates on.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.engine import RunSpec, Sweep, submit
 from repro.memory.spec import mem_preset
@@ -32,8 +28,6 @@ from repro.router.errmodel import features_of
 TOLERANCE_IPC = 0.15
 #: perceived-latency denominators are floored here (cycles)
 PERCEIVED_FLOOR = 5.0
-#: size of the analytic timing sweep (the "1000-spec sweep" headline)
-TIMING_SPECS = 1000
 
 #: the Figure-4 grid (full) and the CI smoke subset (quick)
 FULL_THREADS = (1, 2, 3, 4)
@@ -70,35 +64,11 @@ def conformance_grid(quick: bool = False, seed: int = 0) -> Sweep:
     return classic + finite
 
 
-def _timing_sweep(n: int, seed: int) -> list[RunSpec]:
-    """``n`` distinct analytic specs spanning the model's input space.
-
-    Latency varies fastest so the whole sweep shares a handful of
-    characterization walks — the regime the fast model is built for.
-    """
-    specs: list[RunSpec] = []
-    lat = 1
-    while len(specs) < n:
-        for decoupled in (True, False):
-            for nt in FULL_THREADS:
-                if len(specs) >= n:
-                    break
-                specs.append(
-                    RunSpec.multiprogrammed(
-                        nt, l2_latency=lat, decoupled=decoupled,
-                        seed=seed, backend="analytic",
-                    )
-                )
-        lat += 1
-    return specs
-
-
 def run_conformance(
     quick: bool = False,
     seed: int = 0,
     engine=None,
     tolerance: float = TOLERANCE_IPC,
-    timing_specs: int = TIMING_SPECS,
     progress=None,
 ) -> dict:
     """Run the differential suite; returns a JSON-safe document."""
@@ -106,16 +76,12 @@ def run_conformance(
     grid = conformance_grid(quick=quick, seed=seed)
 
     say(f"cycle backend: {len(grid)} runs")
-    t0 = time.perf_counter()
     cycle_results = submit(grid, engine)
-    cycle_wall = time.perf_counter() - t0
 
     say("analytic backend: same grid")
-    t0 = time.perf_counter()
     analytic = {
         spec: spec.with_backend("analytic").execute() for spec in grid
     }
-    analytic_grid_wall = time.perf_counter() - t0
 
     cells = []
     ipc_errs, perc_errs, bus_errs = [], [], []
@@ -174,33 +140,8 @@ def run_conformance(
         "mean_bus_abs_err": sum(bus_errs) / n,
         "passed": mean_ipc_err <= tolerance,
         "cells": cells,
+        "counters": cycle_results.counters.to_dict(),
     }
-
-    # -- wall-clock comparison ---------------------------------------------
-    n_executed = cycle_results.n_executed
-    timing: dict = {
-        "cycle_grid_wall_s": round(cycle_wall, 3),
-        "cycle_runs_executed": n_executed,
-        "cycle_runs_cached": cycle_results.n_cached,
-        "analytic_grid_wall_s": round(analytic_grid_wall, 3),
-    }
-    if timing_specs:
-        say(f"analytic timing sweep: {timing_specs} specs")
-        sweep = _timing_sweep(timing_specs, seed)
-        t0 = time.perf_counter()
-        for spec in sweep:
-            spec.execute()
-        # floor guards against clock granularity on fast machines
-        analytic_wall = max(time.perf_counter() - t0, 1e-9)
-        timing["analytic_sweep_specs"] = len(sweep)
-        timing["analytic_sweep_wall_s"] = round(analytic_wall, 3)
-        timing["analytic_specs_per_s"] = round(len(sweep) / analytic_wall, 1)
-        if n_executed:
-            per_cycle_run = cycle_wall / n_executed
-            projected = per_cycle_run * len(sweep)
-            timing["cycle_per_run_s"] = round(per_cycle_run, 3)
-            timing["sweep_speedup"] = round(projected / analytic_wall, 1)
-    doc["timing"] = timing
     return doc
 
 
@@ -237,19 +178,4 @@ def render_conformance(doc: dict) -> str:
         f"perceived {doc['mean_perceived_err'] * 100:.1f}%  "
         f"bus +-{doc['mean_bus_abs_err']:.3f}  -> {verdict}"
     )
-    t = doc.get("timing", {})
-    if "analytic_specs_per_s" in t:
-        line = (
-            f"analytic: {t['analytic_sweep_specs']} specs in "
-            f"{t['analytic_sweep_wall_s']}s "
-            f"({t['analytic_specs_per_s']} specs/s)"
-        )
-        if "sweep_speedup" in t:
-            line += (
-                f"; cycle backend {t['cycle_per_run_s']}s/run -> "
-                f"sweep speedup {t['sweep_speedup']}x"
-            )
-        else:
-            line += "; cycle grid fully cached (no live timing baseline)"
-        out.append(line)
     return "\n\n".join(out)

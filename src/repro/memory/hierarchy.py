@@ -191,15 +191,7 @@ class MemorySystem:
         return cls(MemSpec().resolve(cfg), n_threads=n_threads,
                    line_bytes=line_bytes)
 
-    # -- fast-forward eligibility ---------------------------------------------
-
-    @property
-    def fast_forward_safe(self) -> bool:
-        """False when the prefetcher needs a per-cycle clock, in which
-        case the processor must not skip idle cycles (the built-in
-        miss-triggered prefetchers mutate state only inside demand
-        accesses and stay eligible)."""
-        return not self.prefetcher.tick_driven
+    # -- fast-forward wake protocol -------------------------------------------
 
     def refusal_wake(self, addr, now, tid=0):
         """Classify what an access to ``addr`` would do *right now* without
@@ -228,8 +220,6 @@ class MemorySystem:
         until its own earliest release.  It classifies with
         :meth:`L1Cache.probe` and the same drain-then-check order as
         :meth:`_access`, so the two cannot disagree on a refusal.
-        Tick-driven prefetchers are excluded wholesale by
-        :attr:`fast_forward_safe`.
         """
         l1 = self._l1_for(tid)
         outcome, _idx, when = l1.probe(addr, now)

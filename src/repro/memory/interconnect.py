@@ -46,11 +46,6 @@ class Bus:
         self.busy_cycles += self.cycles_per_line
         return self.free_at
 
-    def queue_delay_hint(self, now: int) -> int:
-        """Current backlog depth in cycles (diagnostic): how long a
-        transfer ready at ``now`` would wait before starting."""
-        return max(0, self.free_at - now)
-
     def reset_stats(self) -> None:
         """Zero the utilization accounting (keeps the schedule state)."""
         self._stats_floor = self.busy_cycles
@@ -76,9 +71,6 @@ class IdealInterconnect(Bus):
             self.free_at = done
         self.busy_cycles += self.cycles_per_line
         return done
-
-    def queue_delay_hint(self, now: int) -> int:
-        return 0
 
 
 _POLICIES = {"fifo": Bus, "ideal": IdealInterconnect}

@@ -6,14 +6,11 @@ transfer), so prefetching pays real bandwidth and real MSHR occupancy —
 useless prefetches show up as bus utilization and structural pressure,
 exactly the trade-off the experiments want to expose.
 
-Fast-forward contract (see DESIGN.md "Memory hierarchy"): the built-in
-prefetchers are **miss-triggered** — all of their state changes happen
-synchronously inside a demand ``load``/``store`` call, which can only
-execute during a non-quiescent cycle, so the idle-cycle fast-forward
-remains bit-exact with them enabled. A prefetcher that needs a per-cycle
-clock must set :attr:`Prefetcher.tick_driven`, which makes the facade
-report ``fast_forward_safe = False`` and the processor fall back to the
-per-cycle walk (correct, just slower).
+Fast-forward contract (see DESIGN.md "Memory hierarchy"): the prefetchers
+are **miss-triggered** — all of their state changes happen synchronously
+inside a demand ``load``/``store`` call, which can only execute during a
+non-quiescent cycle, so the idle-cycle fast-forward remains bit-exact
+with them enabled.
 """
 
 from __future__ import annotations
@@ -28,9 +25,6 @@ class Prefetcher:
     """Observer of demand primary misses; may inject prefetch fills."""
 
     name = "none"
-    #: True when the prefetcher mutates state on a clock rather than only
-    #: inside demand accesses — disables the idle-cycle fast-forward
-    tick_driven = False
 
     def on_demand_fill(
         self, mem: "MemorySystem", line: int, now: int, tid: int

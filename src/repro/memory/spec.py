@@ -193,9 +193,10 @@ _INTERCONNECT_AUTO = _auto_checks(InterconnectSpec)
 class PrefetchSpec:
     """Optional hardware prefetcher in front of the L1 miss path.
 
-    Both built-in kinds are *miss-triggered*: they act only inside demand
-    accesses, never on a clock, which is what keeps them eligible for the
-    idle-cycle fast-forward (see DESIGN.md "Memory hierarchy").
+    Both kinds are *miss-triggered*: they act only inside demand accesses,
+    never on a clock, so the idle-cycle fast-forward, which skips only
+    cycles with no access, stays bit-identical with either one enabled
+    (see DESIGN.md "Memory hierarchy").
     """
 
     kind: str = "none"

@@ -53,7 +53,6 @@ N_AGE_BUCKETS = 24
 CLUSTER_GAP = 8
 
 _OP_LOAD_F = OpClass.LOAD_F
-_OP_LOAD_I = OpClass.LOAD_I
 _OP_STORE_F = OpClass.STORE_F
 _OP_STORE_I = OpClass.STORE_I
 _OP_BRANCH = OpClass.BRANCH

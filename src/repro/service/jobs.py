@@ -29,8 +29,8 @@ from repro.engine.cache import _write_atomic
 from repro.engine.scheduler import Counters
 from repro.engine.spec import RunSpec
 
-#: states a job can be observed in; terminal ones never change again
-STATES = ("queued", "running", "done", "failed")
+#: job states that never change again (a job is otherwise "queued" or
+#: "running")
 TERMINAL = frozenset({"done", "failed"})
 
 

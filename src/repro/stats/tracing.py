@@ -39,13 +39,6 @@ class InstRecord:
     commit_cycle: int = -1
     squashed: bool = False
 
-    @property
-    def issue_delay(self) -> int:
-        """Cycles between fetch and issue (queue + operand wait)."""
-        if self.issue_cycle < 0:
-            return -1
-        return self.issue_cycle - self.fetch_cycle
-
 
 @dataclass
 class PipelineTrace:

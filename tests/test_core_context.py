@@ -22,7 +22,7 @@ class TestTraceWalking:
         ctx = _ctx()
         pcs = []
         for _ in range(5):
-            pcs.append(ctx.cur_static().pc)
+            pcs.append(ctx.trace[ctx.pos].pc)
             ctx.advance()
         assert pcs == sorted(pcs)
 

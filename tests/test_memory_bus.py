@@ -65,27 +65,6 @@ class TestUtilization:
         assert Bus(16, 32).utilization(0) == 0.0
 
 
-class TestQueueDelayHint:
-    """Satellite fix: the hint is a backlog depth, not an absolute cycle."""
-
-    def test_idle_bus_has_no_backlog(self):
-        bus = Bus(16, 32)
-        assert bus.queue_delay_hint(now=0) == 0
-        assert bus.queue_delay_hint(now=100) == 0
-
-    def test_backlog_is_relative_to_now(self):
-        bus = Bus(16, 32)
-        bus.schedule_line(0)   # busy until 2
-        bus.schedule_line(0)   # busy until 4
-        assert bus.queue_delay_hint(now=0) == 4
-        assert bus.queue_delay_hint(now=3) == 1
-
-    def test_past_schedule_never_goes_negative(self):
-        bus = Bus(16, 32)
-        bus.schedule_line(0)   # busy until 2
-        assert bus.queue_delay_hint(now=50) == 0
-
-
 class _EventSteppedBus:
     """Cycle-stepped reference: transfers start strictly in request order,
     each waiting until its ready cycle and the bus being free."""
@@ -140,8 +119,3 @@ class TestIdealInterconnect:
         bus.schedule_line(0)
         bus.schedule_line(0)
         assert bus.busy_since_reset() == 4
-
-    def test_no_backlog_hint(self):
-        bus = IdealInterconnect(16, 32)
-        bus.schedule_line(0)
-        assert bus.queue_delay_hint(now=0) == 0

@@ -572,28 +572,6 @@ class TestPrefetch:
         pf.load(0x1000, now=0)
         assert pf.bus.busy_cycles == 3 * plain.bus.busy_cycles
 
-    def test_miss_triggered_prefetchers_keep_fast_forward(self):
-        assert _prefetch_mem("nextline").fast_forward_safe
-        assert _prefetch_mem("stream").fast_forward_safe
-        assert MemorySystem.classic().fast_forward_safe
-
-
-class TestFastForwardGate:
-    """A tick-driven prefetcher must force the per-cycle walk."""
-
-    def _run(self, tick_driven: bool):
-        spec = RunSpec.single("su2cor", l2_latency=256, scale=1.0,
-                              commits=800, warmup=200)
-        proc, kw = spec.instantiate()
-        if tick_driven:
-            proc.state.mem.prefetcher.tick_driven = True
-        proc.run(**kw)
-        return proc
-
-    def test_gate_disables_skipping(self):
-        assert self._run(tick_driven=False).ff_cycles_skipped > 0
-        assert self._run(tick_driven=True).ff_cycles_skipped == 0
-
 
 # -------------------------------------------------------- analytic integration
 

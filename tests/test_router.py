@@ -568,7 +568,7 @@ class TestRouterCLI:
 
         out = tmp_path / "sub" / "corpus.json"
         assert main([
-            "conformance", "--quick", "--timing-specs", "0",
+            "conformance", "--quick",
             "--no-cache", "--out", str(out), "--fit",
         ]) == 0
         cells = load_corpus(out)
