@@ -6,10 +6,13 @@ Traces and wrong-path pools are built once per process and their
 the contexts of one machine, between machines, and between repeated
 positions of one trace.  The digests below are a sha256 over every slot
 of every instruction, so a synthesizer change that moves a single field
-(or its type) moves a digest.  The guard runs a machine and a
-characterization walk over the process-cached traces and pools, then
-re-digests them: a stage that wrote to a shared instruction would leave
-its mark on the next run that reads it.
+(or its type) moves a digest.  A digest reads values, not identity, so
+each built-in trace's count of distinct objects is pinned beside it:
+sharing is what keeps a process's memory flat as traces repeat.  Edge
+profiles pin the synthesis paths that no built-in reaches.  The guard
+runs a machine and a characterization walk over the process-cached
+traces and pools, then re-digests them: a stage that wrote to a shared
+instruction would leave its mark on the next run that reads it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,14 @@ import pytest
 from repro.engine import RunSpec
 from repro.isa.instruction import StaticInst
 from repro.model.charwalk import _characterize, character_key
-from repro.workloads import SCENARIOS, SEG_INSTRS, SPECFP95, profile_trace
+from repro.workloads import (
+    SCENARIOS,
+    SEG_INSTRS,
+    SPECFP95,
+    BenchProfile,
+    profile_trace,
+    synthesize,
+)
 from repro.workloads.wrongpath import WrongPathGenerator
 
 #: every slot; the enum slots by value, because an enum's repr runs
@@ -112,11 +122,72 @@ POOLS = {
     1034: "6af05182680126a9737e89d2bdca16d97f59ad766341334fdc8e53b2e0794f99",
 }
 
+#: profile name -> distinct :class:`StaticInst` objects in its traces at
+#: seeds 0 and 1 (76,301 over the ten SPEC traces at seed 0)
+DISTINCT = {
+    "tomcatv": (7999, 7988),
+    "swim": (8327, 8306),
+    "su2cor": (7828, 7820),
+    "hydro2d": (8568, 8543),
+    "mgrid": (7589, 7589),
+    "applu": (7614, 7614),
+    "turb3d": (6338, 6338),
+    "apsi": (7613, 7605),
+    "fpppp": (6261, 6260),
+    "wave5": (8164, 8163),
+    "ptrchase": (7489, 7502),
+    "thrash": (7143, 7138),
+    "stream": (7509, 7509),
+}
+
+#: profiles that reach synthesis paths no built-in reaches: name ->
+#: (overrides of the default profile, instructions asked for, digest of
+#: ``synthesize(profile, n, seed=0)``).  Each length ends inside a loop
+#: body, so each trace runs past it to the end of that iteration.
+EDGES = {
+    # data-dependent branches (every built-in has rand_branch_frac 0),
+    # with the loss-of-decoupling and ITOF draws between them
+    "edge-rand-branch": (
+        {"rand_branch_frac": 0.1, "lod_rate": 0.004, "itof_rate": 0.01},
+        4001,
+        "84d9aa4fc92af2fa82a18ffff3adeb1e59bcf59ccb3c202d42c0af6996e2438d",
+    ),
+    # hot and gather windows that are not powers of two
+    "edge-odd-windows": (
+        {"hot_bytes": 3000, "hot_skew": 0.5, "gather_frac": 0.2,
+         "gather_ws_bytes": 3000},
+        4001,
+        "69a8390232d14c088a4ca16296cfaf089a6406129b8fab9c46e93e0f1937169c",
+    ),
+    # sparse index loads whose folded stream passes its first window
+    "edge-sparse-index": (
+        {"n_streams": 4, "gather_frac": 0.5, "index_dist": 1,
+         "index_every": 2, "ws_bytes": 1 << 20},
+        8999,
+        "134289cc7ad838b4b1360f5918207612db62da34441d8bbe8385c7b1d5b9cc0f",
+    ),
+    # resident stream, index and store windows that wrap, none a
+    # multiple of 8
+    "edge-resident": (
+        {"ws_bytes": 1000, "gather_frac": 0.2, "store_ws_bytes": 1000},
+        4001,
+        "8119439872a8b3b96e20e2b942110abdd4f1570a77d013067ca20755971eef69",
+    ),
+}
+
+#: ``(seed, data_span)`` -> digest of the first :data:`WP_STREAM`
+#: instructions of a generator over a data window that is neither the
+#: default nor a power of two
+ODD_POOLS = {
+    (5, 3000):
+        "4b457b884d1a8599eaf9575a4b31b92ece8339c32d0af10eb857310e78ac4ee3",
+}
+
 BUILTIN = {**SPECFP95, **SCENARIOS}
 
 
 def test_every_builtin_profile_is_pinned():
-    assert {name for name, _ in TRACES} == set(BUILTIN)
+    assert {name for name, _ in TRACES} == set(BUILTIN) == set(DISTINCT)
 
 
 @pytest.mark.parametrize(
@@ -124,17 +195,49 @@ def test_every_builtin_profile_is_pinned():
     ids=[f"{name}-{seed}" for name, seed in TRACES],
 )
 def test_trace_digest(name, seed, want):
-    assert digest(profile_trace(BUILTIN[name], SEG_INSTRS, seed)) == want
+    trace = profile_trace(BUILTIN[name], SEG_INSTRS, seed)
+    assert digest(trace) == want
+    assert len(set(map(id, trace))) == DISTINCT[name][seed]
+
+
+@pytest.mark.parametrize(
+    "name, overrides, n_instrs, want",
+    [(name, *v) for name, v in EDGES.items()], ids=list(EDGES),
+)
+def test_edge_trace_digest(name, overrides, n_instrs, want):
+    trace = synthesize(BenchProfile(name, **overrides), n_instrs)
+    assert len(trace) > n_instrs  # the last iteration runs to its end
+    assert digest(trace) == want
+
+
+def test_a_shorter_trace_is_a_prefix():
+    # a length that ends mid-body builds the same iterations as a longer
+    # trace, and only those
+    profile = SPECFP95["tomcatv"]
+    short = synthesize(profile, 1001).insts
+    assert 1001 < len(short) < 1001 + 40
+    assert digest(short) == digest(synthesize(profile, SEG_INSTRS)[: len(short)])
+
+
+def _stream(gen):
+    stream = list(gen.next_block(16)) + list(gen.next_block(WP_STREAM - 16))
+    assert len(stream) == WP_STREAM
+    return stream
 
 
 @pytest.mark.parametrize(
     "seed, want", list(POOLS.items()), ids=list(map(str, POOLS))
 )
 def test_wrong_path_stream_digest(seed, want):
-    gen = WrongPathGenerator(seed)
-    stream = list(gen.next_block(16)) + list(gen.next_block(WP_STREAM - 16))
-    assert len(stream) == WP_STREAM
-    assert digest(stream) == want
+    assert digest(_stream(WrongPathGenerator(seed))) == want
+
+
+@pytest.mark.parametrize(
+    "seed, span, want", [(*k, v) for k, v in ODD_POOLS.items()],
+    ids=[f"{seed}-span{span}" for seed, span in ODD_POOLS],
+)
+def test_wrong_path_stream_digest_odd_span(seed, span, want):
+    assert digest(_stream(WrongPathGenerator(seed, data_span=span))) == want
 
 
 def test_simulation_leaves_shared_instructions_unchanged():
