@@ -7,7 +7,13 @@ Usage, from anywhere in a checkout::
 REV (any git revision: a branch, a tag, a commit) is checked out into a
 temporary directory with ``git worktree add --detach``, and the worktree
 is removed on every exit path, Ctrl-C included.  "Head" is this
-checkout, uncommitted edits included.  For each workload, ten pairs of
+checkout, uncommitted edits included.  Before the first pair, both
+trees' ``src/`` are compiled with ``compileall`` under the running
+interpreter, so both sides import byte code: a tree that compiles its
+sources on every import (a fresh checkout, or any tree under
+``PYTHONDONTWRITEBYTECODE``) starts slower than one holding
+``__pycache__`` files, by about a quarter of ``kernel``'s ``setup_s``.
+For each workload, ten pairs of
 runs of *this* checkout's ``perfbench/run.py --workload W --seed s
 --seconds <run_seconds> --trace 0`` run in the two trees, each with its
 tree as the working directory, so both sides run the same benchmark code
@@ -41,6 +47,7 @@ existed); 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import json
 import math
@@ -251,6 +258,8 @@ def main(argv=None) -> int:
            "run_seconds": seconds, "workloads": {}}
     with worktree(sha) as rev_tree:
         trees = {"rev": rev_tree, "head": ROOT}
+        for tree in trees.values():
+            compileall.compile_dir(tree / "src", quiet=1)
         for workload in args.workloads:
             runs = {side: [] for side in SIDES}
             for i in range(PAIRS):

@@ -421,23 +421,13 @@ def _characterize(key: tuple) -> WorkloadCharacter:
 
 
 def _plan(p: BenchProfile) -> dict:
-    """Static per-iteration structure of one benchmark profile (mirrors
-    the synthesizer's body planning — counts only, no emission)."""
-    n_loads = p.n_streams * p.unroll
-    ring_len = p.index_dist + 1
-    max_gather = max(0, 8 // ring_len)
-    wanted = int(round(p.gather_frac * n_loads))
-    if p.gather_frac > 0:
-        wanted = max(1, wanted)
-    n_gather = min(wanted, max_gather)
-    n_falu = max(1, int(round(n_loads * p.fp_per_load)))
-    n_stores = int(round(n_loads * p.store_per_load))
-    n_extra_ialu = int(round(p.extra_ialu_per_load * n_loads))
+    """Static per-iteration structure of one benchmark profile, from the
+    counts the synthesizer plans its body with."""
+    c = p.body_counts()
     body = (
-        3 + n_gather / max(1, p.index_every) + n_loads + n_falu
-        + n_stores + n_extra_ialu + 1
-        + int(round(p.rand_branch_frac
-                    * (3 + n_gather + n_loads + n_falu + n_stores + 2)))
+        3 + c.n_gather / max(1, p.index_every) + c.n_loads + c.n_falu
+        + c.n_stores + c.n_extra_ialu + 1
+        + c.n_rand_branch
     )
     return {
         "iter_len": body,

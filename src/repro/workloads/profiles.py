@@ -38,6 +38,7 @@ import difflib
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.memo import Memoized
 
@@ -184,6 +185,23 @@ class BenchProfile(Memoized):
                     f"profile {self.name!r}: {key} must be >= {low}, "
                     f"got {getattr(self, key)}"
                 )
+        try:
+            longest = self.body_counts().longest
+        except OverflowError:  # a count past what a float holds
+            longest = math.inf
+        if longest > MAX_BODY_INSTRS:
+            sizes = ", ".join(f"{k}={getattr(self, k)!r}" for k in _BODY_FIELDS)
+            raise ValueError(
+                f"profile {self.name!r}: a loop iteration of up to {longest} "
+                f"instructions overruns the {MAX_BODY_INSTRS} the code layout "
+                f"holds ({sizes})"
+            )
+
+    def body_counts(self) -> BodyCounts:
+        """The instruction counts of one loop iteration, computed once
+        per profile: the synthesizer plans its body from them and the
+        analytic walk blends them."""
+        return self._memo("_body", lambda: _count_body(self))
 
     def with_overrides(self, **kwargs) -> "BenchProfile":
         """Return a copy with selected fields replaced.
@@ -228,12 +246,92 @@ _CHECKS = scalar_checks(BenchProfile)
 
 #: the smallest value of each field that synthesis can build a loop body
 #: from: at least one load, one iteration, one FP chain and one byte in
-#: each address window (``index_dist`` sizes a ring of ``index_dist + 1``)
+#: each address window (``index_dist`` sizes a ring of ``index_dist + 1``);
+#: a negative hot or gather share would add stream loads past the count
 _SYNTH_MINIMA = {
     "unroll": 1, "n_streams": 1, "iters": 1, "index_every": 1,
     "n_chains": 1, "index_dist": 0, "ws_bytes": 1, "hot_bytes": 1,
-    "store_ws_bytes": 1, "gather_ws_bytes": 1,
+    "store_ws_bytes": 1, "gather_ws_bytes": 1, "hot_frac": 0,
+    "gather_frac": 0,
 }
+
+
+#: integer registers the gather index rings share (``r10..r17`` in
+#: :mod:`repro.workloads.synth`)
+RING_REGS = 8
+#: the longest loop iteration the code layout holds: synthesis places the
+#: outer-loop block this many instruction slots past the body's first pc
+MAX_BODY_INSTRS = 2048
+#: the fields that size a loop iteration, named when one is too long
+_BODY_FIELDS = (
+    "n_streams",
+    "unroll",
+    "gather_frac",
+    "hot_frac",
+    "fp_per_load",
+    "store_per_load",
+    "extra_ialu_per_load",
+    "rand_branch_frac",
+)
+
+
+class BodyCounts(NamedTuple):
+    """How many instructions of each kind one loop iteration of a profile
+    holds (see :mod:`repro.workloads.synth` for the body's order)."""
+
+    n_loads: int
+    n_gather: int
+    n_hot: int
+    n_falu: int
+    n_stores: int
+    n_extra_ialu: int
+    #: 1 when loss-of-decoupling events can fire, else 0
+    n_lod: int
+    n_rand_branch: int
+    #: the body length the per-instruction event rates scale by
+    nominal: int
+
+    @property
+    def longest(self) -> int:
+        """The most instructions one iteration can emit: every optional
+        one (index loads, the ITOF pair, the loss-of-decoupling pair and
+        the integer spill) included."""
+        return (
+            (3 if self.n_gather else 2)
+            + self.n_gather
+            + max(self.n_loads, self.n_gather)  # gathers take every slot
+            + 2
+            + self.n_falu
+            + 2 * self.n_lod
+            + max(0, self.n_extra_ialu)
+            + max(0, self.n_stores)
+            + 1
+            + max(0, self.n_rand_branch)
+            + 1
+        )
+
+
+def _count_body(p: BenchProfile) -> BodyCounts:
+    n_loads = p.n_streams * p.unroll
+    wanted = round(p.gather_frac * n_loads)
+    if p.gather_frac > 0:
+        wanted = max(1, wanted)
+    n_gather = min(wanted, RING_REGS // (p.index_dist + 1))
+    n_hot = min(round(p.hot_frac * n_loads), n_loads - n_gather)
+    n_falu = max(1, round(n_loads * p.fp_per_load))
+    n_stores = round(n_loads * p.store_per_load)
+    nominal = 3 + n_gather + n_loads + n_falu + n_stores + 2
+    return BodyCounts(
+        n_loads,
+        n_gather,
+        n_hot,
+        n_falu,
+        n_stores,
+        round(p.extra_ialu_per_load * n_loads),
+        1 if p.lod_rate > 0 else 0,
+        round(p.rand_branch_frac * nominal),
+        nominal,
+    )
 
 
 def _p(name: str, **kwargs) -> BenchProfile:

@@ -26,14 +26,38 @@ address salt so one synthesised trace can be shared by many hardware contexts
 (the paper runs a different benchmark rotation per thread; working sets must
 not alias).
 
+The body plan
+-------------
+
 Only memory instructions carry an address, so the others repeat from one
-iteration to the next, and each synthesizer *interns* them: an ``IALU``,
-``FALU``, ``BRANCH``, ``ITOF`` or ``FTOI`` with the same ``(pc, op, dest,
-srcs, taken, target)`` is one shared
-:class:`~repro.isa.instruction.StaticInst` object however many iterations
-repeat it (a ten-profile rotation builds about 76k objects for its 200k
-instructions).  Loads and stores are built fresh.  Interning draws
-nothing from the RNG, so traces are unchanged.
+iteration to the next.  Each synthesizer plans its loop body once, from
+the profile's :meth:`~repro.workloads.profiles.BenchProfile.body_counts`:
+the constants of each load and store slot, and every *stretch* of
+instructions that carry no address, as a tuple built on first use and
+keyed by its start pc and variant.  The stretches are the induction
+head, the run from the last load to the first store (the ITOF pair when
+one fires, the FP chains and reduction, the loss-of-decoupling pair of
+the chain an event picks, the extra integer work), the data-dependent
+branches with the loop-back branch after them, and the outer-loop block.
+Their instructions are *interned*: an ``IALU``, ``FALU``, ``BRANCH``,
+``ITOF`` or ``FTOI`` with the same ``(pc, op, dest, srcs, taken,
+target)`` is one shared :class:`~repro.isa.instruction.StaticInst`
+object however many iterations and stretches repeat it (a ten-profile
+rotation builds about 76k objects for its 200k instructions).  An
+iteration extends the trace by whole stretches and builds only its
+loads and stores.
+
+No draw moves.  Planning draws nothing, and an iteration draws in body
+order: the loss-of-decoupling coin, each hot load's skew coin and
+offset, each gather offset, the ITOF coin, the loss-of-decoupling chain
+and each data-dependent branch's coin.  An offset below ``n`` is drawn
+inline the way CPython 3.11's ``randrange(n)`` draws it (``k =
+n.bit_length()`` bits from ``getrandbits``, drawn again while ``>= n``,
+with ``k`` computed once wherever ``n`` is fixed), so a trace is the
+one ``randrange`` calls would give.  ``tests/test_pinned_traces.py``
+pins every built-in trace, the paths no built-in reaches and each
+trace's count of distinct objects.
+
 
 Set-placement model ("folded streams")
 --------------------------------------
@@ -73,37 +97,38 @@ from functools import lru_cache
 from repro.isa.instruction import StaticInst
 from repro.isa.opclass import OpClass
 from repro.isa.trace import Trace
-from repro.workloads.profiles import BenchProfile
+from repro.workloads.profiles import MAX_BODY_INSTRS, BenchProfile
 
 # Integer register allocation (flat ids 0..31).
-R_INDEX = 1        # strength-reduced induction index (updated every iteration)
-R_COUNT = 9        # loop counter
-R_IDXPTR = 2       # index-array pointer for gather references
-R_RING0 = 10       # first gather index ring register (r10..r17 reserved)
-R_RING_LAST = 17
-R_SCRATCH0 = 18    # scratch integer chain (r18..r23)
+R_INDEX = 1  # strength-reduced induction index (updated every iteration)
+R_COUNT = 9  # loop counter
+R_IDXPTR = 2  # index-array pointer for gather references
+R_RING0 = 10  # first gather index ring register (r10..r17, profiles.RING_REGS)
+R_SCRATCH0 = 18  # scratch integer chain (r18..r23)
 R_NSCRATCH = 6
-R_LOD_DEST = 24    # FTOI destination
-R_LOD_ADDR = 25    # address derived from an FTOI result
+R_LOD_DEST = 24  # FTOI destination
+R_LOD_ADDR = 25  # address derived from an FTOI result
 R_STOREPTR = 26
 
 # FP register allocation (architectural f0..f31, flat ids 32..63).
 F_BASE = 32
-F_ACC0 = 0         # chain accumulators f0..f7
-F_LOAD0 = 8        # loaded values f8..f23 (round robin)
+F_ACC0 = 0  # chain accumulators f0..f7
+F_LOAD0 = 8  # loaded values f8..f23 (round robin)
 F_NLOAD = 16
-F_ITOF = 24        # ITOF destination
-F_RED = 30         # cross-iteration reduction accumulator
+F_ITOF = 24  # ITOF destination
+F_RED = 30  # cross-iteration reduction accumulator
 
 _INST_BYTES = 4
+#: the outer-loop block's distance from the loop body's first pc
+_OUTER_OFFSET = MAX_BODY_INSTRS * _INST_BYTES
 
 # Layout constants (see module docstring).
 _SET_SPACE = 64 * 1024
-STREAM_SPACE = 0x10000000              # hi bits 4..19 (one space per slot)
-GATHER_BASE = 0x50000000 + 16 * 1024   # hi bits 20, set zone [16K, 32K)
-INDEX_BASE = 0x54000000 + 32 * 1024    # hi bits 21, set zone [32K, 36K)
-STORE_BASE = 0x58000000 + 36 * 1024    # hi bits 22, set zone [36K, 52K)
-HOT_BASE = 0x5C000000 + 52 * 1024      # hi bits 23, set zone [52K, 64K)
+STREAM_SPACE = 0x10000000  # hi bits 4..19 (one space per slot)
+GATHER_BASE = 0x50000000 + 16 * 1024  # hi bits 20, set zone [16K, 32K)
+INDEX_BASE = 0x54000000 + 32 * 1024  # hi bits 21, set zone [32K, 36K)
+STORE_BASE = 0x58000000 + 36 * 1024  # hi bits 22, set zone [36K, 52K)
+HOT_BASE = 0x5C000000 + 52 * 1024  # hi bits 23, set zone [52K, 64K)
 
 #: set-window width of a folded stream
 FOLD_WINDOW = 4 * 1024
@@ -111,6 +136,10 @@ FOLD_WINDOW = 4 * 1024
 RESIDENT_CAP = 16 * 1024
 #: gather tables are capped to one per-thread tile of the gather zone
 GATHER_CAP = 4 * 1024
+
+#: the source tuples every index load and every integer spill share
+_IDXPTR_SRCS = (R_IDXPTR,)
+_SPILL_SRCS = (R_INDEX, R_COUNT)
 
 
 def fold(base: int, off: int, window: int = FOLD_WINDOW) -> int:
@@ -129,14 +158,25 @@ def _fr(n: int) -> int:
     return F_BASE + n
 
 
+def _updates(regs) -> list[tuple]:
+    """``(op, dest, srcs)`` of an ``IALU r <- r`` for each register."""
+    return [(OpClass.IALU, r, (r,)) for r in regs]
+
+
+def _bits_below(n: int) -> tuple[int, int]:
+    """``(n, k)``: ``randrange(n)`` draws ``k`` bits until one is below
+    ``n``."""
+    return n, n.bit_length()
+
+
 class _LoadSlot:
     """Static role of one FP load position in the loop body."""
 
     __slots__ = ("role", "window", "ring_reg", "fdest")
 
     def __init__(self, role: str, window: int, ring_reg: int, fdest: int):
-        self.role = role          # "stream" | "hot" | "gather"
-        self.window = window      # stream only: which 4 KB window/subarray
+        self.role = role  # "stream" | "hot" | "gather"
+        self.window = window  # stream only: which 4 KB window/subarray
         self.ring_reg = ring_reg  # gather only: ring register base
         self.fdest = fdest
 
@@ -163,6 +203,19 @@ class _Interned(dict):
         inst = self[key] = StaticInst(pc, op, dest, srcs, 0, taken, target)
         return inst
 
+    def stretch(self, pc: int, ops) -> tuple[StaticInst, ...]:
+        """The instructions ``ops`` (``(op, dest, srcs)`` each, none a
+        branch) laid out from ``pc``."""
+        return tuple(
+            self[pc + i * _INST_BYTES, op, dest, srcs, False, 0]
+            for i, (op, dest, srcs) in enumerate(ops)
+        )
+
+    def branch_pair(self, pc: int, srcs: tuple[int, ...], target: int) -> tuple:
+        """The branch at ``pc`` with these fields, not taken and taken."""
+        not_taken = self[pc, OpClass.BRANCH, None, srcs, False, target]
+        return not_taken, self[pc, OpClass.BRANCH, None, srcs, True, target]
+
 
 class KernelSynthesizer:
     """Emit a synthetic trace for one benchmark profile.
@@ -180,7 +233,7 @@ class KernelSynthesizer:
         # gather index arrays: resident codes keep them inside the 4 KB
         # index zone; others stream (folded) at the benchmark's scale
         if profile.ws_bytes >= RESIDENT_CAP:
-            self.index_ws = profile.ws_bytes        # folded stream
+            self.index_ws = profile.ws_bytes  # folded stream
         else:
             self.index_ws = min(profile.ws_bytes, FOLD_WINDOW)  # resident
         self.gather_ws = min(profile.gather_ws_bytes, GATHER_CAP)
@@ -191,44 +244,27 @@ class KernelSynthesizer:
 
     def _plan_body(self) -> None:
         p = self.profile
-        self.n_loads = p.n_streams * p.unroll
-        ring_len = p.index_dist + 1
-        max_gather = max(0, (R_RING_LAST - R_RING0 + 1) // ring_len)
-        wanted = int(round(p.gather_frac * self.n_loads))
-        if p.gather_frac > 0:
-            wanted = max(1, wanted)
-        self.n_gather = min(wanted, max_gather)
-        self.ring_len = ring_len
-        n_rest = self.n_loads - self.n_gather
-        self.n_hot = min(int(round(p.hot_frac * self.n_loads)), n_rest)
-        self.n_falu = max(1, int(round(self.n_loads * p.fp_per_load)))
-        self.n_stores = int(round(self.n_loads * p.store_per_load))
-        body_est = (
-            3 + self.n_gather + self.n_loads + self.n_falu + self.n_stores + 2
-        )
-        self.n_extra_ialu = int(round(p.extra_ialu_per_load * self.n_loads))
-        self.n_lod = 1 if p.lod_rate > 0 else 0
-        self.n_rand_branch = int(round(p.rand_branch_frac * body_est))
+        counts = p.body_counts()
+        self.n_loads = counts.n_loads
+        self.n_gather = counts.n_gather
+        self.n_hot = counts.n_hot
+        self.n_lod = counts.n_lod
+        self.n_rand_branch = counts.n_rand_branch
+        self.ring_len = ring_len = p.index_dist + 1
 
         # Assign static roles: first the hot slots, then streaming slots
         # (each with its own 4 KB window = its own subarray), gathers last
         # (their indices are loaded earlier in the body).
-        slots: list[_LoadSlot] = []
-        k = 0
         n_stream = self.n_loads - self.n_gather - self.n_hot
-        for i in range(self.n_hot):
-            slots.append(_LoadSlot("hot", -1, -1, _fr(F_LOAD0 + (k % F_NLOAD))))
-            k += 1
-        for w in range(n_stream):
-            slots.append(_LoadSlot("stream", w, -1, _fr(F_LOAD0 + (k % F_NLOAD))))
-            k += 1
-        for g in range(self.n_gather):
-            ring_reg = R_RING0 + g * self.ring_len
-            slots.append(
-                _LoadSlot("gather", -1, ring_reg, _fr(F_LOAD0 + (k % F_NLOAD)))
-            )
-            k += 1
-        self.load_slots = slots
+        roles = (
+            [("hot", -1, -1)] * self.n_hot
+            + [("stream", w, -1) for w in range(n_stream)]
+            + [("gather", -1, R_RING0 + g * ring_len) for g in range(self.n_gather)]
+        )
+        slots = self.load_slots = [
+            _LoadSlot(role, window, ring_reg, _fr(F_LOAD0 + (k % F_NLOAD)))
+            for k, (role, window, ring_reg) in enumerate(roles)
+        ]
         #: address-space base per stream window
         self.stream_base = [
             STREAM_SPACE + w * (1 << 26) + w * FOLD_WINDOW
@@ -236,6 +272,119 @@ class KernelSynthesizer:
         ]
         #: whether streaming regions reuse tags (resident) or fold
         self.stream_resident = p.ws_bytes < RESIDENT_CAP
+
+        # Load and store constants.  A loss-of-decoupling event redirects
+        # the address of the first load in the body's second half, unless
+        # it is a gather, through the FTOI result, so the hot and stream
+        # plans come without (False) and with (True) that event.
+        half = len(slots) // 2
+        self._loads = {}
+        for lod in (False, True):
+            srcs = [(R_INDEX,)] * len(slots)
+            if lod and slots[half].role != "gather":
+                srcs[half] = (R_LOD_ADDR,)
+            hot = [(s.fdest, srcs[k]) for k, s in enumerate(slots) if s.role == "hot"]
+            stream = [
+                (s.fdest, srcs[k], self.stream_base[s.window])
+                for k, s in enumerate(slots)
+                if s.role == "stream"
+            ]
+            self._loads[lod] = hot, stream
+        #: per gather slot: its destination and its sources by ring phase
+        self._gathers = [
+            (s.fdest, tuple((s.ring_reg + u,) for u in range(ring_len)))
+            for s in slots
+            if s.role == "gather"
+        ]
+        #: per ring phase: the destination of each index load
+        self._index_dests = [
+            tuple(R_RING0 + g * ring_len + u for g in range(self.n_gather))
+            for u in range(ring_len)
+        ]
+        #: per store: its sources, a chain accumulator's result
+        self._store_srcs = [
+            (R_INDEX, _fr(F_ACC0 + (j % p.n_chains))) for j in range(counts.n_stores)
+        ]
+
+        # Event odds, and the bounds of the offset draws.
+        self._lod_p = p.lod_rate * counts.nominal
+        self._itof_p = p.itof_rate * counts.nominal
+        skewed = _bits_below(max(8, p.hot_bytes // 4))
+        self._hot_draws = (p.hot_skew, *skewed, *_bits_below(p.hot_bytes))
+        self._gather_draw = _bits_below(self.gather_ws)
+        self._chain_draw = _bits_below(p.n_chains)
+
+        # FP chains, interleaved round-robin across n_chains independent
+        # intra-iteration chains (each restarts from loaded values, so the
+        # in-order EP sees n_chains-way ILP), plus one carried reduction op
+        # at the end (the cross-iteration serial floor).
+        loaded = [s.fdest for s in slots]
+        chain_len = [0] * p.n_chains
+        chains = []
+        for j in range(max(1, counts.n_falu - 1)):
+            c = j % p.n_chains
+            acc = _fr(F_ACC0 + c)
+            if chain_len[c] == 0:
+                srcs = (loaded[j % len(loaded)], loaded[(j + 1) % len(loaded)])
+            else:
+                srcs = (acc, loaded[j % len(loaded)])
+            chains.append((OpClass.FALU, acc, srcs))
+            chain_len[c] += 1
+            if chain_len[c] >= p.chain_depth:
+                chain_len[c] = 0
+        if counts.n_falu > 1:
+            red = _fr(F_RED)
+            chains.append((OpClass.FALU, red, (red, _fr(F_ACC0))))
+        self._chains = chains
+        # extra integer work (independent scratch chains)
+        scratch = [R_SCRATCH0 + (x % R_NSCRATCH) for x in range(counts.n_extra_ialu)]
+        self._extra_ialu = _updates(scratch)
+
+        # Stretches: the induction head, which every iteration starts
+        # with, and caches of the others, which vary: (start pc, itof, lod
+        # chain or -1) -> (stretch to the stores, the pc after it), and
+        # start pc -> (data-dependent branch pairs, loop-back pair).
+        head = [R_INDEX, R_COUNT] + ([R_IDXPTR] if self.n_gather else [])
+        self._head = self._interned.stretch(self.code_base, _updates(head))
+        self._head_end = self.code_base + len(head) * _INST_BYTES
+        self._middles: dict[tuple, tuple] = {}
+        self._tails: dict[int, tuple] = {}
+
+    def _plan_middle(self, pc: int, itof: bool, chain: int) -> tuple:
+        """Cache and return the stretch from the last load to the first
+        store, laid out from ``pc``, with the pc after it: the ITOF move
+        when ``itof``, the FP chains and reduction, the ITOF's consumer
+        when ``itof``, the loss-of-decoupling pair through accumulator
+        ``chain`` unless it is -1, and the extra integer work."""
+        ops = []
+        if itof:  # AP feeds EP a scalar, folded into the last chain
+            ops.append((OpClass.ITOF, _fr(F_ITOF), (R_COUNT,)))
+        ops += self._chains
+        if itof:
+            acc = _fr(F_ACC0 + (self.profile.n_chains - 1))
+            ops.append((OpClass.FALU, acc, (acc, _fr(F_ITOF))))
+        if chain >= 0:  # FTOI into an address computation
+            ops.append((OpClass.FTOI, R_LOD_DEST, (_fr(F_ACC0 + chain),)))
+            ops.append((OpClass.IALU, R_LOD_ADDR, (R_LOD_DEST,)))
+        ops += self._extra_ialu
+        stretch = self._interned.stretch(pc, ops)
+        entry = self._middles[pc, itof, chain] = stretch, pc + len(ops) * _INST_BYTES
+        return entry
+
+    def _plan_tail(self, pc: int) -> tuple:
+        """Cache and return the data-dependent branches laid out from
+        ``pc`` and the loop-back branch after them, each as its ``(not
+        taken, taken)`` pair."""
+        pair = self._interned.branch_pair
+        at = pc
+        branches = []
+        for b in range(self.n_rand_branch):
+            srcs = (R_SCRATCH0 + (b % R_NSCRATCH),)
+            branches.append(pair(at, srcs, at + 2 * _INST_BYTES))
+            at += _INST_BYTES
+        loop = pair(at, (R_COUNT,), self.code_base)
+        entry = self._tails[pc] = tuple(branches), loop
+        return entry
 
     # -- emission --------------------------------------------------------------
 
@@ -254,161 +403,115 @@ class KernelSynthesizer:
             it += 1
         return Trace(out, name=self.profile.name)
 
-    def _stream_addr(self, window: int, it: int) -> int:
-        p = self.profile
-        off = it * p.elem_bytes
-        base = self.stream_base[window]
-        if self.stream_resident:
-            return base + (off % p.ws_bytes) & ~7
-        return fold(base, off & ~7)
-
     def _emit_iteration(self, it: int, out: list[StaticInst]) -> None:
         p = self.profile
-        rng = self.rng
-        pc = self.code_base
+        random = self.rng.random
+        getrandbits = self.rng.getrandbits
         add = out.append
-        interned = self._interned
-
-        def emit(op, dest=None, srcs=(), taken=False, target=0):
-            nonlocal pc
-            add(interned[pc, op, dest, srcs, taken, target])
-            pc += _INST_BYTES
-
-        def emit_mem(op, dest=None, srcs=(), addr=0):
-            nonlocal pc
-            add(StaticInst(pc, op, dest, srcs, addr))
-            pc += _INST_BYTES
+        load_f = OpClass.LOAD_F
 
         # 1. induction updates
-        emit(OpClass.IALU, dest=R_INDEX, srcs=(R_INDEX,))
-        emit(OpClass.IALU, dest=R_COUNT, srcs=(R_COUNT,))
-        if self.n_gather:
-            emit(OpClass.IALU, dest=R_IDXPTR, srcs=(R_IDXPTR,))
+        out.extend(self._head)
+        pc = self._head_end
 
         # 2. software-pipelined index loads for gathers (used index_dist
         #    index-iterations from now; sparse index streams only reload
         #    every index_every iterations)
-        idx_it = it // p.index_every
-        if it % p.index_every == 0:
-            for g in range(self.n_gather):
-                ring_reg = R_RING0 + g * self.ring_len + (idx_it % self.ring_len)
-                idx_off = (idx_it * self.n_gather + g) * 8
+        idx_it, idx_phase = divmod(it, p.index_every)
+        if self.n_gather and not idx_phase:
+            off = idx_it * self.n_gather * 8
+            for dest in self._index_dests[idx_it % self.ring_len]:
                 if self.index_ws <= FOLD_WINDOW:
-                    idx_addr = INDEX_BASE + (idx_off % self.index_ws)
+                    addr = INDEX_BASE + (off % self.index_ws)
                 else:
-                    idx_addr = fold(INDEX_BASE, idx_off)
-                emit_mem(OpClass.LOAD_I, dest=ring_reg, srcs=(R_IDXPTR,), addr=idx_addr)
+                    addr = fold(INDEX_BASE, off)
+                add(StaticInst(pc, OpClass.LOAD_I, dest, _IDXPTR_SRCS, addr))
+                pc += _INST_BYTES
+                off += 8
 
-        # 3. FP loads. Loss-of-decoupling events are stochastic: slip
-        # collapses when one fires and rebuilds in between, so the average
-        # perceived latency reflects the LOD *rate* (fpppp hides ~90% of the
-        # latency in the paper despite decoupling badly).
-        body_len = 3 + self.n_gather + self.n_loads + self.n_falu + self.n_stores + 2
-        do_lod = self.n_lod > 0 and rng.random() < self.profile.lod_rate * body_len
-        loaded: list[int] = []
-        lod_pending = 1 if do_lod else 0
-        for k, slot in enumerate(self.load_slots):
-            if slot.role == "stream":
-                addr = self._stream_addr(slot.window, it)
-                srcs: tuple[int, ...] = (R_INDEX,)
-            elif slot.role == "hot":
-                # skewed reuse: most hot accesses land in the first quarter
-                # of the region, keeping their reuse distance short
-                if rng.random() < p.hot_skew:
-                    span = max(8, p.hot_bytes // 4)
-                else:
-                    span = p.hot_bytes
-                addr = HOT_BASE + (rng.randrange(0, span) & ~7)
-                srcs = (R_INDEX,)
-            else:  # gather
-                use_it = idx_it - p.index_dist
-                ring_reg = slot.ring_reg + (use_it % self.ring_len)
-                addr = GATHER_BASE + (rng.randrange(0, self.gather_ws) & ~7)
-                srcs = (ring_reg,)
-            # A pending loss-of-decoupling event redirects one load's address
-            # dependence through the FTOI result.
-            if lod_pending and slot.role != "gather" and k >= len(self.load_slots) // 2:
-                srcs = (R_LOD_ADDR,)
-                lod_pending -= 1
-            emit_mem(OpClass.LOAD_F, dest=slot.fdest, srcs=srcs, addr=addr)
-            loaded.append(slot.fdest)
-
-        # 4. occasional ITOF (AP feeds EP a scalar)
-        do_itof = rng.random() < p.itof_rate * body_len
-        if do_itof:
-            emit(OpClass.ITOF, dest=_fr(F_ITOF), srcs=(R_COUNT,))
-
-        # 5. FP chains, interleaved round-robin across n_chains independent
-        #    intra-iteration chains (each restarts from loaded values, so the
-        #    in-order EP sees n_chains-way ILP), plus one carried reduction
-        #    op at the end (the cross-iteration serial floor).
-        chain_len = [0] * p.n_chains
-        nxt = 0
-        n_independent = max(1, self.n_falu - 1)
-        for j in range(n_independent):
-            c = j % p.n_chains
-            acc = _fr(F_ACC0 + c)
-            if chain_len[c] == 0:
-                srcs = (loaded[nxt % len(loaded)], loaded[(nxt + 1) % len(loaded)])
+        # 3. FP loads: hot slots, streams, gathers. Loss-of-decoupling
+        # events are stochastic: slip collapses when one fires and rebuilds
+        # in between, so the average perceived latency reflects the LOD
+        # *rate* (fpppp hides ~90% of the latency in the paper despite
+        # decoupling badly).
+        lod = self.n_lod > 0 and random() < self._lod_p
+        hot, stream = self._loads[lod]
+        # skewed reuse: most hot accesses land in the first quarter of the
+        # region, keeping their reuse distance short
+        skew, skew_n, skew_k, hot_n, hot_k = self._hot_draws
+        for fdest, srcs in hot:
+            if random() < skew:
+                n, k = skew_n, skew_k
             else:
-                srcs = (acc, loaded[nxt % len(loaded)])
-            nxt += 1
-            emit(OpClass.FALU, dest=acc, srcs=srcs)
-            chain_len[c] += 1
-            if chain_len[c] >= p.chain_depth:
-                chain_len[c] = 0
-        if self.n_falu > 1:
-            red = _fr(F_RED)
-            emit(OpClass.FALU, dest=red, srcs=(red, _fr(F_ACC0)))
-        if do_itof:
-            acc = _fr(F_ACC0 + (p.n_chains - 1))
-            emit(OpClass.FALU, dest=acc, srcs=(acc, _fr(F_ITOF)))
+                n, k = hot_n, hot_k
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            add(StaticInst(pc, load_f, fdest, srcs, HOT_BASE + (r & ~7)))
+            pc += _INST_BYTES
+        if stream:
+            # every stream advances by the same offset, and each base is a
+            # multiple of 8, so the alignment mask applies to the offset
+            off = it * p.elem_bytes
+            if self.stream_resident:
+                delta = (off % p.ws_bytes) & ~7
+            else:
+                delta = fold(0, off & ~7)
+            for fdest, srcs, base in stream:
+                add(StaticInst(pc, load_f, fdest, srcs, base + delta))
+                pc += _INST_BYTES
+        if self._gathers:
+            use = (idx_it - p.index_dist) % self.ring_len
+            n, k = self._gather_draw
+            for fdest, ring in self._gathers:
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                add(StaticInst(pc, load_f, fdest, ring[use], GATHER_BASE + (r & ~7)))
+                pc += _INST_BYTES
 
-        # 6. loss-of-decoupling events: FTOI into an address computation
-        if do_lod:
-            acc = _fr(F_ACC0 + rng.randrange(p.n_chains))
-            emit(OpClass.FTOI, dest=R_LOD_DEST, srcs=(acc,))
-            emit(OpClass.IALU, dest=R_LOD_ADDR, srcs=(R_LOD_DEST,))
-
-        # 7. extra integer work (independent scratch chains)
-        for x in range(self.n_extra_ialu):
-            r = R_SCRATCH0 + (x % R_NSCRATCH)
-            emit(OpClass.IALU, dest=r, srcs=(r,))
+        # 4-7. occasional ITOF (AP feeds EP a scalar), FP chains, the
+        # loss-of-decoupling pair and extra integer work: one stretch
+        itof = random() < self._itof_p
+        chain = -1
+        if lod:
+            n, k = self._chain_draw
+            chain = getrandbits(k)
+            while chain >= n:
+                chain = getrandbits(k)
+        key = pc, itof, chain
+        middle, pc = self._middles.get(key) or self._plan_middle(*key)
+        out.extend(middle)
 
         # 8. FP stores of chain results
-        for j in range(self.n_stores):
-            off = (it * self.n_stores + j) * 8
-            if p.store_ws_bytes <= RESIDENT_CAP:
-                addr = STORE_BASE + (off % p.store_ws_bytes)
-            else:
-                addr = fold(STORE_BASE, off)
-            acc = _fr(F_ACC0 + (j % p.n_chains))
-            emit_mem(OpClass.STORE_F, srcs=(R_INDEX, acc), addr=addr)
+        if self._store_srcs:
+            ws = p.store_ws_bytes
+            off = it * len(self._store_srcs) * 8
+            for srcs in self._store_srcs:
+                if ws <= RESIDENT_CAP:
+                    addr = STORE_BASE + (off % ws)
+                else:
+                    addr = fold(STORE_BASE, off)
+                add(StaticInst(pc, OpClass.STORE_F, None, srcs, addr))
+                pc += _INST_BYTES
+                off += 8
         if it % 16 == 15:
             # occasional integer spill into the top of the store window
-            emit_mem(
-                OpClass.STORE_I, srcs=(R_INDEX, R_COUNT),
-                addr=STORE_BASE + 3072 + ((it * 8) % 1024),
-            )
+            addr = STORE_BASE + 3072 + ((it * 8) % 1024)
+            add(StaticInst(pc, OpClass.STORE_I, None, _SPILL_SRCS, addr))
+            pc += _INST_BYTES
 
         # 9. data-dependent branches (taken p=.5; poorly predictable)
-        for b in range(self.n_rand_branch):
-            emit(
-                OpClass.BRANCH, srcs=(R_SCRATCH0 + (b % R_NSCRATCH),),
-                taken=rng.random() < 0.5, target=pc + 2 * _INST_BYTES,
-            )
-
+        branches, loop = self._tails.get(pc) or self._plan_tail(pc)
+        for pair in branches:
+            add(pair[random() < 0.5])
         # 10. loop-back branch: taken until the trip count expires
-        last = (it + 1) % p.iters == 0
-        emit(
-            OpClass.BRANCH, srcs=(R_COUNT,), taken=not last,
-            target=self.code_base,
-        )
+        add(loop[(it + 1) % p.iters != 0])
 
     def _emit_outer_block(self, out: list[StaticInst]) -> None:
         """Outer-loop overhead after an inner-loop exit: pointer rebasing and
         an always-taken branch back to the inner loop."""
-        pc = self.code_base + 0x2000
+        pc = self.code_base + _OUTER_OFFSET
         add = out.append
         interned = self._interned
         for r in (R_INDEX, R_IDXPTR, R_STOREPTR, R_COUNT):

@@ -32,12 +32,21 @@ pools, about 11 MB), and every generator with those arguments cycles the
 same tuple of shared, never-written
 :class:`~repro.isa.instruction.StaticInst` objects.  A fig4-shaped grid
 builds 80 generators over 4 distinct seeds.
+
+Building a pool draws the same numbers in the same order as it always
+has: the op's cumulative weights are summed once, in ``_MIX`` order, so
+each draw picks the op the running sum would pick, and every
+``randrange(n)`` is drawn inline the way CPython 3.11 draws it (``k =
+n.bit_length()`` bits from ``getrandbits``, drawn again while ``>= n``).
+``tests/test_pinned_traces.py`` pins the pools.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
 
 from repro.isa.instruction import StaticInst
 from repro.isa.opclass import OpClass
@@ -62,8 +71,9 @@ class WrongPathGenerator:
     #: instructions per PC-wrap period: the pool the stream cycles through
     _POOL_SIZE = 0x4000 // _INST_BYTES
 
-    def __init__(self, seed: int, data_base: int = HOT_BASE,
-                 data_span: int = 2 * 1024):
+    def __init__(
+        self, seed: int, data_base: int = HOT_BASE, data_span: int = 2 * 1024
+    ):
         self.seed = seed
         self.data_base = data_base
         self.data_span = data_span
@@ -91,8 +101,7 @@ class WrongPathGenerator:
         """Produce the next ``n`` wrong-path instructions (cyclic pool)."""
         pool = self._pool
         if pool is None:
-            pool = self._pool = _build_pool(
-                self.seed, self.data_base, self.data_span)
+            pool = self._pool = _build_pool(self.seed, self.data_base, self.data_span)
         size = self._POOL_SIZE
         pos = self._pos
         end = pos + n
@@ -106,10 +115,14 @@ class WrongPathGenerator:
         return out
 
 
+#: the op a uniform draw ``x`` picks is ``_OPS[bisect_right(_CUTS, x)]``:
+#: the first of ``_MIX`` whose cumulative weight exceeds ``x``, else IALU
+_CUTS = tuple(accumulate(w for _, w in WrongPathGenerator._MIX))
+_OPS = tuple(op for op, _ in WrongPathGenerator._MIX) + (OpClass.IALU,)
+
+
 @lru_cache(maxsize=16)
-def _build_pool(
-    seed: int, data_base: int, data_span: int
-) -> tuple[StaticInst, ...]:
+def _build_pool(seed: int, data_base: int, data_span: int) -> tuple[StaticInst, ...]:
     """Synthesise one PC-wrap period of wrong-path instructions.
 
     Deterministic in its arguments alone: the RNG is created fresh here,
@@ -118,34 +131,42 @@ def _build_pool(
     cache hands the same pool to every generator that asks.
     """
     rng = random.Random(seed)
+    draw = rng.random
+    bits = rng.getrandbits
+    span_k = data_span.bit_length()
+    load_f, load_i, falu = OpClass.LOAD_F, OpClass.LOAD_I, OpClass.FALU
     pool = []
-    pc = _WP_PC_BASE
-    for _ in range(WrongPathGenerator._POOL_SIZE):
-        x = rng.random()
-        acc = 0.0
-        op = OpClass.IALU
-        for candidate, w in WrongPathGenerator._MIX:
-            acc += w
-            if x < acc:
-                op = candidate
-                break
-        if op == OpClass.LOAD_F:
-            inst = StaticInst(
-                pc, op, dest=32 + 8 + rng.randrange(16),
-                srcs=(1,),
-                addr=data_base + (rng.randrange(data_span) & ~7),
-            )
-        elif op == OpClass.LOAD_I:
-            inst = StaticInst(
-                pc, op, dest=18 + rng.randrange(6), srcs=(2,),
-                addr=data_base + (rng.randrange(data_span) & ~7),
-            )
-        elif op == OpClass.FALU:
-            d = 32 + rng.randrange(8)
-            inst = StaticInst(pc, op, dest=d, srcs=(d, 32 + 8 + rng.randrange(16)))
+    end = _WP_PC_BASE + WrongPathGenerator._POOL_SIZE * _INST_BYTES
+    for pc in range(_WP_PC_BASE, end, _INST_BYTES):
+        op = _OPS[bisect_right(_CUTS, draw())]
+        # each inline loop below is randrange(n) for the n it compares with
+        if op is load_f or op is load_i:
+            if op is load_f:
+                r = bits(5)
+                while r >= 16:
+                    r = bits(5)
+                dest, srcs = 40 + r, (1,)
+            else:
+                r = bits(3)
+                while r >= 6:
+                    r = bits(3)
+                dest, srcs = 18 + r, (2,)
+            a = bits(span_k)
+            while a >= data_span:
+                a = bits(span_k)
+            inst = StaticInst(pc, op, dest, srcs, data_base + (a & ~7))
+        elif op is falu:
+            r = bits(4)
+            while r >= 8:
+                r = bits(4)
+            s = bits(5)
+            while s >= 16:
+                s = bits(5)
+            inst = StaticInst(pc, op, 32 + r, (32 + r, 40 + s))
         else:
-            d = 18 + rng.randrange(6)
-            inst = StaticInst(pc, op, dest=d, srcs=(d,))
+            r = bits(3)
+            while r >= 6:
+                r = bits(3)
+            inst = StaticInst(pc, op, 18 + r, (18 + r,))
         pool.append(inst)
-        pc += _INST_BYTES
     return tuple(pool)

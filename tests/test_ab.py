@@ -176,6 +176,25 @@ class TestDriver:
         assert not rev_tree.exists()
         assert _worktrees(repo) == 1
 
+    def test_both_trees_hold_byte_code_when_the_first_run_starts(
+            self, repo, monkeypatch):
+        # a tree that compiles its sources on import starts slower, so
+        # neither side may be the only one to do so
+        compiled = []
+
+        def fake_run(tree, *_):
+            if not compiled:  # REV's tree: the first run of pair 0
+                assert tree != repo
+                compiled.extend(
+                    Path(importlib.util.cache_from_source(
+                        str(t / "src" / "repro" / "__init__.py"))).exists()
+                    for t in (tree, repo))
+            return result()
+
+        monkeypatch.setattr(ab, "run_once", fake_run)
+        assert ab.main(["HEAD", "kernel", "--seed", "1"]) == 0
+        assert compiled == [True, True]
+
     def test_equal_sides_exit_0(self, repo, monkeypatch, capsys):
         monkeypatch.setattr(ab, "run_once", lambda *a: result())
         assert ab.main(["HEAD", "kernel", "cold", "--seed", "1"]) == 0

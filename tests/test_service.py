@@ -100,7 +100,12 @@ UNRUNNABLE = {
         "iters", "ws_bytes", "store_ws_bytes", "index_every", "n_chains",
         "hot_bytes", "gather_ws_bytes")},
     **{f"{name}_-1": (PROFILE + (name,), -1) for name in (
-        "hot_bytes", "gather_ws_bytes", "index_dist", "n_chains")},
+        "hot_bytes", "gather_ws_bytes", "index_dist", "n_chains",
+        "hot_frac", "gather_frac")},
+    # loop bodies past the code layout, or one iteration of unbounded size
+    "n_streams_huge": (PROFILE + ("n_streams",), 10**9),
+    "unroll_2000": (PROFILE + ("unroll",), 2000),
+    "fp_per_load_huge": (PROFILE + ("fp_per_load",), 1e308),
     "default_commits_str": (("workload", "default_commits"), "x"),
     "default_commits_float": (("workload", "default_commits"), 1.5),
     "default_commits_bool": (("workload", "default_commits"), True),
@@ -587,6 +592,18 @@ class TestHTTP:
         status, reply = _request(service, "POST", "/jobs", {"spec": doc})
         assert status == 400
         assert f"unknown {what} field {path[-1]!r}" in reply["error"]
+        assert service.metrics.jobs_submitted == 0
+
+    def test_loop_body_past_the_code_layout_is_400_naming_the_fields(
+            self, service):
+        # accepted, it built one unbounded iteration whatever the segment
+        # length, or ran its body into the outer-loop block
+        doc = mutated(fast_spec().to_dict(), PROFILE + ("n_streams",), 10**6)
+        status, reply = _request(service, "POST", "/jobs", {"spec": doc})
+        assert status == 400
+        assert "spec[0]" in reply["error"]
+        assert "overruns the 2048" in reply["error"]
+        assert "n_streams=1000000, unroll=" in reply["error"]
         assert service.metrics.jobs_submitted == 0
 
     @pytest.mark.parametrize("corpus", FOREIGN_CORPORA)

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.workloads.profiles import BENCH_ORDER, SPECFP95, BenchProfile, get_profile
+from repro.workloads import SEG_INSTRS, KernelSynthesizer
+from repro.workloads.profiles import (
+    BENCH_ORDER,
+    MAX_BODY_INSTRS,
+    SCENARIOS,
+    SPECFP95,
+    BenchProfile,
+    get_profile,
+)
 
 
 class TestTable:
@@ -76,3 +84,68 @@ class TestDefaults:
         assert 0 <= p.hot_frac <= 1
         assert 0 <= p.gather_frac <= 1
         assert p.chain_depth >= 1
+
+
+class TestBodyBound:
+    """One loop iteration must fit below the outer-loop block, which
+    synthesis places MAX_BODY_INSTRS instruction slots past the body."""
+
+    BUILTIN = {**SPECFP95, **SCENARIOS}
+    #: the instructions besides its FP chain ops that the longest
+    #: iteration of a default profile with one load holds
+    FIXED = 7
+
+    def test_builtin_bodies_are_short(self):
+        for name, p in self.BUILTIN.items():
+            assert p.body_counts().longest <= 45, name
+
+    def test_the_longest_body_the_layout_holds_is_accepted(self):
+        p = BenchProfile(
+            name="long-body", n_streams=1, unroll=1, iters=2,
+            fp_per_load=MAX_BODY_INSTRS - self.FIXED,
+        )
+        assert p.body_counts().longest == MAX_BODY_INSTRS
+        synth = KernelSynthesizer(p)
+        outer = synth.code_base + 4 * MAX_BODY_INSTRS
+        trace = synth.synthesize(3 * MAX_BODY_INSTRS).insts
+        body = [i.pc for i in trace if i.pc < outer]
+        assert max(body) < outer
+        assert len(body) + 5 == len(trace)  # one outer-loop block
+
+    @pytest.mark.parametrize("fields", [
+        {"n_streams": 1, "unroll": 1, "fp_per_load": MAX_BODY_INSTRS - 6},
+        {"n_streams": 2000},
+        {"unroll": 10**9},
+        {"n_streams": 10**400},
+        {"fp_per_load": 1e308},
+        {"gather_frac": 1e308},
+        {"rand_branch_frac": 100.0},
+        {"store_per_load": 1000.0},
+        {"extra_ialu_per_load": 1000.0},
+    ], ids=["one_over", "n_streams", "unroll", "n_streams_overflow",
+            "fp_per_load_overflow", "gather_frac_overflow",
+            "rand_branch_frac", "store_per_load", "extra_ialu_per_load"])
+    def test_longer_bodies_are_refused_naming_the_fields(self, fields):
+        with pytest.raises(ValueError, match="overruns the 2048") as exc:
+            BenchProfile(name="long-body", **fields)
+        for name, value in fields.items():
+            assert f"{name}={value!r}" in str(exc.value)
+        with pytest.raises(ValueError, match="overruns"):
+            BenchProfile.from_dict({"base": "tomcatv", "name": "x", **fields})
+
+    @pytest.mark.parametrize("field", ["hot_frac", "gather_frac"])
+    def test_negative_shares_are_refused(self, field):
+        # a negative share of hot or gather slots made stream slots past
+        # n_loads: -1000 built 6006 loads per iteration
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            BenchProfile(name="x", **{field: -1000.0})
+
+    def test_body_pcs_stay_inside_the_bound(self):
+        # gathers asked for past the loads take every load slot
+        edge = BenchProfile(name="all-gather", n_streams=1, unroll=1, gather_frac=5)
+        for name, p in {**self.BUILTIN, "all-gather": edge}.items():
+            synth = KernelSynthesizer(p)
+            end = synth.code_base + 4 * p.body_counts().longest
+            trace = synth.synthesize(SEG_INSTRS).insts
+            outer = synth.code_base + 4 * MAX_BODY_INSTRS
+            assert all(i.pc < end for i in trace if i.pc < outer), name
