@@ -263,16 +263,8 @@ RING_REGS = 8
 #: outer-loop block this many instruction slots past the body's first pc
 MAX_BODY_INSTRS = 2048
 #: the fields that size a loop iteration, named when one is too long
-_BODY_FIELDS = (
-    "n_streams",
-    "unroll",
-    "gather_frac",
-    "hot_frac",
-    "fp_per_load",
-    "store_per_load",
-    "extra_ialu_per_load",
-    "rand_branch_frac",
-)
+_BODY_FIELDS = ("n_streams", "unroll", "gather_frac", "hot_frac", "fp_per_load",
+                "store_per_load", "extra_ialu_per_load", "rand_branch_frac")
 
 
 class BodyCounts(NamedTuple):
@@ -293,21 +285,14 @@ class BodyCounts(NamedTuple):
 
     @property
     def longest(self) -> int:
-        """The most instructions one iteration can emit: every optional
-        one (index loads, the ITOF pair, the loss-of-decoupling pair and
-        the integer spill) included."""
+        """The most instructions one iteration can emit, every optional
+        one included."""
         return (
-            (3 if self.n_gather else 2)
-            + self.n_gather
-            + max(self.n_loads, self.n_gather)  # gathers take every slot
-            + 2
-            + self.n_falu
-            + 2 * self.n_lod
-            + max(0, self.n_extra_ialu)
-            + max(0, self.n_stores)
-            + 1
-            + max(0, self.n_rand_branch)
-            + 1
+            (3 if self.n_gather else 2)  # induction head
+            + self.n_gather + max(self.n_loads, self.n_gather)  # index, FP loads
+            + 2 + self.n_falu + 2 * self.n_lod  # ITOF pair, chains, FTOI pair
+            + max(0, self.n_extra_ialu) + max(0, self.n_stores) + 1  # spill
+            + max(0, self.n_rand_branch) + 1  # data-dependent, loop-back
         )
 
 
@@ -322,15 +307,9 @@ def _count_body(p: BenchProfile) -> BodyCounts:
     n_stores = round(n_loads * p.store_per_load)
     nominal = 3 + n_gather + n_loads + n_falu + n_stores + 2
     return BodyCounts(
-        n_loads,
-        n_gather,
-        n_hot,
-        n_falu,
-        n_stores,
-        round(p.extra_ialu_per_load * n_loads),
-        1 if p.lod_rate > 0 else 0,
-        round(p.rand_branch_frac * nominal),
-        nominal,
+        n_loads, n_gather, n_hot, n_falu, n_stores,
+        round(p.extra_ialu_per_load * n_loads), 1 if p.lod_rate > 0 else 0,
+        round(p.rand_branch_frac * nominal), nominal,
     )
 
 

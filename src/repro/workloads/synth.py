@@ -137,10 +137,6 @@ RESIDENT_CAP = 16 * 1024
 #: gather tables are capped to one per-thread tile of the gather zone
 GATHER_CAP = 4 * 1024
 
-#: the source tuples every index load and every integer spill share
-_IDXPTR_SRCS = (R_IDXPTR,)
-_SPILL_SRCS = (R_INDEX, R_COUNT)
-
 
 def fold(base: int, off: int, window: int = FOLD_WINDOW) -> int:
     """Map stream offset ``off`` into a bounded set window.
@@ -203,18 +199,22 @@ class _Interned(dict):
         inst = self[key] = StaticInst(pc, op, dest, srcs, 0, taken, target)
         return inst
 
+    # Stretches share their op lists between variants, but each new
+    # instruction gets a sources tuple of its own, as loads and stores
+    # do: how many objects a trace holds does not depend on the plan.
+
     def stretch(self, pc: int, ops) -> tuple[StaticInst, ...]:
         """The instructions ``ops`` (``(op, dest, srcs)`` each, none a
         branch) laid out from ``pc``."""
         return tuple(
-            self[pc + i * _INST_BYTES, op, dest, srcs, False, 0]
+            self[pc + i * _INST_BYTES, op, dest, (*srcs,), False, 0]
             for i, (op, dest, srcs) in enumerate(ops)
         )
 
     def branch_pair(self, pc: int, srcs: tuple[int, ...], target: int) -> tuple:
         """The branch at ``pc`` with these fields, not taken and taken."""
-        not_taken = self[pc, OpClass.BRANCH, None, srcs, False, target]
-        return not_taken, self[pc, OpClass.BRANCH, None, srcs, True, target]
+        not_taken = self[pc, OpClass.BRANCH, None, (*srcs,), False, target]
+        return not_taken, self[pc, OpClass.BRANCH, None, (*srcs,), True, target]
 
 
 class KernelSynthesizer:
@@ -280,30 +280,26 @@ class KernelSynthesizer:
         half = len(slots) // 2
         self._loads = {}
         for lod in (False, True):
-            srcs = [(R_INDEX,)] * len(slots)
+            src = [R_INDEX] * len(slots)
             if lod and slots[half].role != "gather":
-                srcs[half] = (R_LOD_ADDR,)
-            hot = [(s.fdest, srcs[k]) for k, s in enumerate(slots) if s.role == "hot"]
+                src[half] = R_LOD_ADDR
+            hot = [(s.fdest, src[k]) for k, s in enumerate(slots) if s.role == "hot"]
             stream = [
-                (s.fdest, srcs[k], self.stream_base[s.window])
+                (s.fdest, src[k], self.stream_base[s.window])
                 for k, s in enumerate(slots)
                 if s.role == "stream"
             ]
             self._loads[lod] = hot, stream
-        #: per gather slot: its destination and its sources by ring phase
-        self._gathers = [
-            (s.fdest, tuple((s.ring_reg + u,) for u in range(ring_len)))
-            for s in slots
-            if s.role == "gather"
-        ]
+        #: per gather slot: its destination and its ring's first register
+        self._gathers = [(s.fdest, s.ring_reg) for s in slots if s.role == "gather"]
         #: per ring phase: the destination of each index load
         self._index_dests = [
             tuple(R_RING0 + g * ring_len + u for g in range(self.n_gather))
             for u in range(ring_len)
         ]
-        #: per store: its sources, a chain accumulator's result
-        self._store_srcs = [
-            (R_INDEX, _fr(F_ACC0 + (j % p.n_chains))) for j in range(counts.n_stores)
+        #: per store: the chain accumulator whose result it writes
+        self._store_accs = [
+            _fr(F_ACC0 + (j % p.n_chains)) for j in range(counts.n_stores)
         ]
 
         # Event odds, and the bounds of the offset draws.
@@ -425,7 +421,7 @@ class KernelSynthesizer:
                     addr = INDEX_BASE + (off % self.index_ws)
                 else:
                     addr = fold(INDEX_BASE, off)
-                add(StaticInst(pc, OpClass.LOAD_I, dest, _IDXPTR_SRCS, addr))
+                add(StaticInst(pc, OpClass.LOAD_I, dest, (R_IDXPTR,), addr))
                 pc += _INST_BYTES
                 off += 8
 
@@ -439,7 +435,7 @@ class KernelSynthesizer:
         # skewed reuse: most hot accesses land in the first quarter of the
         # region, keeping their reuse distance short
         skew, skew_n, skew_k, hot_n, hot_k = self._hot_draws
-        for fdest, srcs in hot:
+        for fdest, src in hot:
             if random() < skew:
                 n, k = skew_n, skew_k
             else:
@@ -447,7 +443,7 @@ class KernelSynthesizer:
             r = getrandbits(k)
             while r >= n:
                 r = getrandbits(k)
-            add(StaticInst(pc, load_f, fdest, srcs, HOT_BASE + (r & ~7)))
+            add(StaticInst(pc, load_f, fdest, (src,), HOT_BASE + (r & ~7)))
             pc += _INST_BYTES
         if stream:
             # every stream advances by the same offset, and each base is a
@@ -457,8 +453,8 @@ class KernelSynthesizer:
                 delta = (off % p.ws_bytes) & ~7
             else:
                 delta = fold(0, off & ~7)
-            for fdest, srcs, base in stream:
-                add(StaticInst(pc, load_f, fdest, srcs, base + delta))
+            for fdest, src, base in stream:
+                add(StaticInst(pc, load_f, fdest, (src,), base + delta))
                 pc += _INST_BYTES
         if self._gathers:
             use = (idx_it - p.index_dist) % self.ring_len
@@ -467,7 +463,8 @@ class KernelSynthesizer:
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)
-                add(StaticInst(pc, load_f, fdest, ring[use], GATHER_BASE + (r & ~7)))
+                addr = GATHER_BASE + (r & ~7)
+                add(StaticInst(pc, load_f, fdest, (ring + use,), addr))
                 pc += _INST_BYTES
 
         # 4-7. occasional ITOF (AP feeds EP a scalar), FP chains, the
@@ -484,21 +481,21 @@ class KernelSynthesizer:
         out.extend(middle)
 
         # 8. FP stores of chain results
-        if self._store_srcs:
+        if self._store_accs:
             ws = p.store_ws_bytes
-            off = it * len(self._store_srcs) * 8
-            for srcs in self._store_srcs:
+            off = it * len(self._store_accs) * 8
+            for acc in self._store_accs:
                 if ws <= RESIDENT_CAP:
                     addr = STORE_BASE + (off % ws)
                 else:
                     addr = fold(STORE_BASE, off)
-                add(StaticInst(pc, OpClass.STORE_F, None, srcs, addr))
+                add(StaticInst(pc, OpClass.STORE_F, None, (R_INDEX, acc), addr))
                 pc += _INST_BYTES
                 off += 8
         if it % 16 == 15:
             # occasional integer spill into the top of the store window
             addr = STORE_BASE + 3072 + ((it * 8) % 1024)
-            add(StaticInst(pc, OpClass.STORE_I, None, _SPILL_SRCS, addr))
+            add(StaticInst(pc, OpClass.STORE_I, None, (R_INDEX, R_COUNT), addr))
             pc += _INST_BYTES
 
         # 9. data-dependent branches (taken p=.5; poorly predictable)
