@@ -37,17 +37,17 @@ instructions that carry no address, as a tuple built on first use and
 keyed by its start pc and variant.  The stretches are the induction
 head, the run from the last load to the first store (the ITOF pair when
 one fires, the FP chains and reduction, the loss-of-decoupling pair of
-the chain an event picks, the extra integer work), the data-dependent
-branches with the loop-back branch after them, and the outer-loop block.
-Their instructions are *interned*: an ``IALU``, ``FALU``, ``BRANCH``,
-``ITOF`` or ``FTOI`` with the same ``(pc, op, dest, srcs, taken,
-target)`` is one shared :class:`~repro.isa.instruction.StaticInst`
-object however many iterations and stretches repeat it (a ten-profile
-rotation builds about 76k objects for its 200k instructions).  An
-iteration extends the trace by whole stretches and builds only its
-loads and stores.
+the chain an event picks, the extra integer work), and the
+data-dependent branches with the loop-back branch after them.  Their
+instructions, and the outer-loop block's, are *interned*: an ``IALU``,
+``FALU``, ``BRANCH``, ``ITOF`` or ``FTOI`` with the same ``(pc, op,
+dest, srcs, taken, target)`` is one shared
+:class:`~repro.isa.instruction.StaticInst` object however many
+iterations and stretches repeat it (a ten-profile rotation builds about
+76k objects for its 200k instructions).  An iteration extends the trace
+by whole stretches and builds only its loads and stores.
 
-No draw moves.  Planning draws nothing, and an iteration draws in body
+Planning draws nothing, so every draw is an iteration's own, in body
 order: the loss-of-decoupling coin, each hot load's skew coin and
 offset, each gather offset, the ITOF coin, the loss-of-decoupling chain
 and each data-dependent branch's coin.  An offset below ``n`` is drawn
@@ -57,7 +57,6 @@ with ``k`` computed once wherever ``n`` is fixed), so a trace is the
 one ``randrange`` calls would give.  ``tests/test_pinned_traces.py``
 pins every built-in trace, the paths no built-in reaches and each
 trace's count of distinct objects.
-
 
 Set-placement model ("folded streams")
 --------------------------------------

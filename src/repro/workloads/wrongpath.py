@@ -33,12 +33,13 @@ same tuple of shared, never-written
 :class:`~repro.isa.instruction.StaticInst` objects.  A fig4-shaped grid
 builds 80 generators over 4 distinct seeds.
 
-Building a pool draws the same numbers in the same order as it always
-has: the op's cumulative weights are summed once, in ``_MIX`` order, so
-each draw picks the op the running sum would pick, and every
-``randrange(n)`` is drawn inline the way CPython 3.11 draws it (``k =
-n.bit_length()`` bits from ``getrandbits``, drawn again while ``>= n``).
-``tests/test_pinned_traces.py`` pins the pools.
+A pool is a fixed sequence of draws.  The op weights' cumulative sums
+are taken once, in ``_MIX`` order, so each draw picks the op a running
+sum would pick, and every ``randrange(n)`` is drawn inline the way
+CPython 3.11 draws it (``k = n.bit_length()`` bits from
+``getrandbits``, drawn again while ``>= n``), so a pool is the one
+``randrange`` calls would give.  ``tests/test_pinned_traces.py`` pins
+the pools.
 """
 
 from __future__ import annotations
