@@ -36,9 +36,10 @@ XDG_CACHE_ENV = "XDG_CACHE_HOME"
 #: bump when the on-disk entry layout changes
 CACHE_FORMAT = 2
 
-#: ``*.tmp`` files older than this are orphans from killed workers and
-#: are swept on the next write; a live writer holds its temp file only
-#: for one ``json.dump``, so anything this stale is garbage
+#: ``*.tmp`` files older than this are orphans from killed writers: the
+#: cache sweeps them before its first write and the job spool at boot;
+#: a live writer holds its temp file only for one write, so anything
+#: this stale is garbage
 ORPHAN_TMP_AGE_S = 3600.0
 
 
@@ -86,6 +87,27 @@ def _write_atomic(path: Path, payload: bytes) -> None:
         raise
 
 
+def sweep_orphans(root: Path) -> None:
+    """Remove the stale ``*.tmp`` files :func:`_write_atomic` leaves in
+    ``root`` when its process is killed mid-write.
+
+    Only files older than :data:`ORPHAN_TMP_AGE_S` go: a fresh ``.tmp``
+    belongs to a concurrent writer that is about to ``os.replace`` it
+    into place.
+    """
+    cutoff = time.time() - ORPHAN_TMP_AGE_S
+    try:
+        candidates = list(root.glob("*.tmp"))
+    except OSError:
+        return
+    for tmp in candidates:
+        try:
+            if tmp.stat().st_mtime < cutoff:
+                tmp.unlink()
+        except OSError:
+            pass  # raced another sweeper, or the writer came back
+
+
 class ResultCache:
     """Maps :class:`RunSpec` -> :class:`SimStats` on disk."""
 
@@ -94,27 +116,12 @@ class ResultCache:
         self._swept_orphans = False
 
     def _sweep_orphans(self) -> None:
-        """Remove stale ``*.tmp`` droppings left by killed workers.
-
-        Runs once per cache instance, before its first write.  Only
-        files older than :data:`ORPHAN_TMP_AGE_S` go: a fresh ``.tmp``
-        belongs to a concurrent writer that is about to ``os.replace``
-        it into place.
-        """
+        """Sweep orphaned temp files (:func:`sweep_orphans`) once per
+        cache instance, before its first write."""
         if self._swept_orphans:
             return
         self._swept_orphans = True
-        cutoff = time.time() - ORPHAN_TMP_AGE_S
-        try:
-            candidates = list(self.root.glob("*.tmp"))
-        except OSError:
-            return
-        for tmp in candidates:
-            try:
-                if tmp.stat().st_mtime < cutoff:
-                    tmp.unlink()
-            except OSError:
-                pass  # raced another sweeper, or the writer came back
+        sweep_orphans(self.root)
 
     def path_for(self, spec: RunSpec) -> Path:
         return self.root / f"{spec.key()}.json"

@@ -30,7 +30,7 @@ import itertools
 import json
 import os
 import warnings
-from dataclasses import dataclass, field, replace as dataclasses_replace
+from dataclasses import dataclass, field, fields, replace as dataclasses_replace
 from typing import Any, Iterable, Iterator
 
 from repro.memo import Memoized
@@ -103,23 +103,25 @@ def _scaled(n: int, scale: float) -> int:
     return max(500, int(n * scale))
 
 
-def _digest(doc: dict, workload: WorkloadSpec) -> str:
-    """sha256 prefix of the canonical JSON of a spec document: ``doc``
-    (every field but the workload) dumped with sorted keys, and the
-    workload's memoized canonical JSON spliced in as the last member.
+def _canonical(doc: dict, workload: WorkloadSpec) -> str:
+    """The canonical JSON of a spec document: ``doc`` (every field but
+    the workload) dumped with sorted keys, and the workload's memoized
+    canonical JSON spliced in as the last member.
 
     Sorting puts ``"workload"`` after every other top-level key
-    (``backend`` ... ``warmup``), so the payload is byte-identical to a
+    (``backend`` ... ``warmup``), so the text is byte-identical to a
     dump of the whole document, without serializing the workload (about
     95% of a 4-thread document) again for each spec that shares it.
     """
     assert max(doc) < "workload", "the workload must sort last"
-    head = json.dumps(
-        {"spec_version": SPEC_VERSION, **doc},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    payload = f'{head[:-1]},"workload":{workload.canonical_json()}}}'
+    head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return f'{head[:-1]},"workload":{workload.canonical_json()}}}'
+
+
+def _digest(doc: dict, workload: WorkloadSpec) -> str:
+    """sha256 prefix of the canonical JSON of a spec document and the
+    spec version (see :func:`_canonical`)."""
+    payload = _canonical({"spec_version": SPEC_VERSION, **doc}, workload)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
@@ -335,6 +337,21 @@ class RunSpec(Memoized):
             sorted((d.get("config_overrides") or {}).items())
         )
         return cls(**kw)
+
+    def __hash__(self) -> int:
+        """Structural, like the generated hash, but computed once per
+        object: ``Engine.map`` hashes a spec six times on a cache hit."""
+        return self._memo("_hash", lambda: hash(
+            tuple(getattr(self, f.name) for f in fields(self))
+        ))
+
+    def canonical_json(self) -> str:
+        """:meth:`to_dict` as canonical JSON (sorted keys, no spaces),
+        built once per object: the text the job server stores and
+        serves for this spec.  The workload's part is its own memo."""
+        return self._memo(
+            "_json", lambda: _canonical(self._run_doc(), self.workload)
+        )
 
     def key(self) -> str:
         """Stable content hash; the cache filename stem.

@@ -23,22 +23,24 @@ solve time, hits younger than the in-flight window (miss latency divided by
 per-thread CPI) are re-classified as merged secondary misses, which is how
 the model's miss *ratios* grow with latency the way the cycle backend's do.
 
-Results are cached per :func:`character_key` (an ``lru_cache`` keyed by
-the frozen, content-hashed :class:`~repro.workloads.spec.WorkloadSpec`
-plus budgets and cache/predictor geometry), so a 1000-spec sweep over
-latencies and modes pays for a handful of walks — and any declarative
-workload, not just the paper's rotation, characterizes the same way.
+Results are cached per :func:`character_key` (the frozen,
+content-hashed :class:`~repro.workloads.spec.WorkloadSpec` plus budgets
+and cache/predictor geometry), so a 1000-spec sweep over latencies and
+modes pays for a handful of walks — and any declarative workload, not
+just the paper's rotation, characterizes the same way.  Threads that
+first need one walk together (the job server's executor threads) walk
+it once: the others wait for its result (:func:`~repro.memo.once_per_key`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.config import MachineConfig
 from repro.core.context import region_salts
 from repro.core.predictor import BimodalBHT
 from repro.isa.opclass import OpClass
+from repro.memo import once_per_key
 from repro.memory.levels import HIT, CacheLevel, InfiniteLevel, L1Cache
 from repro.memory.prefetch import build_prefetcher
 from repro.workloads.profiles import BenchProfile
@@ -186,7 +188,7 @@ class _WalkPrefetchPort:
         return self.fill(line, tid)
 
 
-@lru_cache(maxsize=128)
+@once_per_key(maxsize=128)
 def _characterize(key: tuple) -> WorkloadCharacter:
     (
         workload, seed, meas_pt, warm_pt,

@@ -14,6 +14,11 @@ previous process accepted but never finished, and finished jobs keep
 answering ``GET /jobs/{id}`` forever.  SIGTERM drain leans on the same
 property — in-flight jobs run to completion and their final write
 persists the results before the process exits.
+
+A job's documents are written as compact JSON, and each spec is dumped
+once: at accept, as :meth:`RunSpec.canonical_json`, which every spool
+record and the done document splice in as text.  The results are
+dumped once too, when the job finishes (:attr:`Job.runs_json`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import time
 import uuid
 from pathlib import Path
 
-from repro.engine.cache import _write_atomic
+from repro.engine.cache import _write_atomic, sweep_orphans
 from repro.engine.scheduler import Counters
 from repro.engine.spec import RunSpec
 
@@ -38,19 +43,43 @@ def new_job_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
+def splice(doc: dict, **members: str) -> str:
+    """A non-empty ``doc`` as compact JSON, with ``members`` (name ->
+    text that is already JSON) appended."""
+    head = json.dumps(doc, separators=(",", ":"))[:-1]
+    return head + "".join(f',"{name}":{text}' for name, text in members.items()) + "}"
+
+
 class Job:
     """One accepted submission, observable while it runs."""
 
     __slots__ = (
-        "id", "label", "specs", "state", "created", "started", "finished",
-        "error", "counters", "runs", "events", "_flag",
+        "id",
+        "label",
+        "specs",
+        "state",
+        "created",
+        "started",
+        "finished",
+        "error",
+        "counters",
+        "runs_json",
+        "events",
+        "_flag",
     )
 
-    def __init__(self, specs: list[RunSpec], label: str | None = None,
-                 job_id: str | None = None, created: float | None = None):
+    def __init__(
+        self,
+        specs: list[RunSpec],
+        label: str | None = None,
+        job_id: str | None = None,
+        created: float | None = None,
+    ):
         self.id = job_id or new_job_id()
         self.label = label
         self.specs = list(specs)
+        for spec in self.specs:  # dumped here, once, at accept
+            spec.canonical_json()
         self.state = "queued"
         self.created = time.time() if created is None else created
         self.started: float | None = None
@@ -59,8 +88,9 @@ class Job:
         #: the job's sweep counters plus the specs it borrowed from
         #: identical jobs in flight
         self.counters = {**Counters().to_dict(), "n_coalesced": 0}
-        #: per-spec result entries, submission-ordered, populated on done
-        self.runs: list[dict] = []
+        #: the per-spec result entries as one JSON array, in submission
+        #: order; empty until done
+        self.runs_json = "[]"
         #: append-only progress lines (the /events stream)
         self.events: list[str] = []
         self._flag: asyncio.Event | None = None
@@ -100,8 +130,23 @@ class Job:
         self.started = time.time()
         self.emit(f"job {self.id}: running ({len(self.specs)} specs)")
 
-    def finish_ok(self, runs: list[dict]) -> None:
-        self.runs = runs
+    @property
+    def runs(self) -> list[dict]:
+        """The result entries as a client reads them: ``key``, ``label``,
+        ``spec`` and ``stats`` per unique spec."""
+        return json.loads(self.runs_json)
+
+    def finish_ok(self, runs: list[tuple[RunSpec, dict]]) -> None:
+        """Done, with each unique spec paired with its stats dict, in
+        submission order."""
+        entries = ",".join(
+            splice(
+                {"key": spec.key(), "label": spec.label(), "stats": stats},
+                spec=spec.canonical_json(),
+            )
+            for spec, stats in runs
+        )
+        self.runs_json = f"[{entries}]"
         self.state = "done"
         self.finished = time.time()
         c = self.counters
@@ -111,10 +156,7 @@ class Job:
             f"{c['n_coalesced']} coalesced"
         )
         if c["n_screened"] or c["n_promoted"]:
-            line += (
-                f", {c['n_screened']} screened / "
-                f"{c['n_promoted']} promoted"
-            )
+            line += f", {c['n_screened']} screened / {c['n_promoted']} promoted"
         self.emit(line)
 
     def finish_failed(self, error: str) -> None:
@@ -125,20 +167,24 @@ class Job:
 
     # -- persistence -------------------------------------------------------------
 
-    def to_record(self) -> dict:
-        """The spool-file representation (specs as plain dicts)."""
-        return {
-            "id": self.id,
-            "label": self.label,
-            "state": self.state,
-            "created": self.created,
-            "started": self.started,
-            "finished": self.finished,
-            "error": self.error,
-            "counters": dict(self.counters),
-            "specs": [s.to_dict() for s in self.specs],
-            "runs": self.runs,
-        }
+    def record_json(self) -> str:
+        """The spool-file representation: the job's fields, ``specs``
+        (each spec's document) and ``runs``."""
+        specs = ",".join(s.canonical_json() for s in self.specs)
+        return splice(
+            {
+                "id": self.id,
+                "label": self.label,
+                "state": self.state,
+                "created": self.created,
+                "started": self.started,
+                "finished": self.finished,
+                "error": self.error,
+                "counters": self.counters,
+            },
+            specs=f"[{specs}]",
+            runs=self.runs_json,
+        )
 
     @classmethod
     def from_record(cls, record: dict) -> "Job":
@@ -153,7 +199,7 @@ class Job:
         job.finished = record.get("finished")
         job.error = record.get("error")
         job.counters.update(record.get("counters") or {})
-        job.runs = record.get("runs") or []
+        job.runs_json = json.dumps(record.get("runs") or [], separators=(",", ":"))
         return job
 
     def __repr__(self) -> str:
@@ -162,7 +208,9 @@ class Job:
 
 class JobStore:
     """One JSON file per job under the spool directory, written
-    atomically on every state transition."""
+    atomically on every state transition.  A writer killed mid-write
+    leaves a ``*.tmp`` file behind; :meth:`load_all` sweeps the stale
+    ones (see :func:`~repro.engine.cache.sweep_orphans`)."""
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root).expanduser()
@@ -172,14 +220,16 @@ class JobStore:
 
     def save(self, job: Job) -> Path:
         path = self.path_for(job.id)
-        _write_atomic(path, json.dumps(job.to_record(), sort_keys=True).encode())
+        _write_atomic(path, job.record_json().encode("utf-8"))
         return path
 
     def load_all(self) -> list[Job]:
         """Every readable job record, oldest first; unreadable or
         half-written files are skipped (the atomic writer makes those
         rare, but a spool shared with an older format must not wedge
-        boot)."""
+        boot).  The server calls this once, at boot, so it is also where
+        orphaned temp files go."""
+        sweep_orphans(self.root)
         jobs = []
         try:
             paths = sorted(self.root.glob("*.job.json"))

@@ -59,10 +59,16 @@ MAX_HEADER_LINES = 100
 REQUEST_TIMEOUT_S = 30.0
 
 _REASONS = {
-    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 408: "Request Timeout",
-    413: "Payload Too Large", 431: "Request Header Fields Too Large",
-    500: "Internal Server Error", 503: "Service Unavailable",
+    200: "OK",
+    202: "Accepted",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    408: "Request Timeout",
+    413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
+    500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 
@@ -102,8 +108,7 @@ class SimService:
         )
         self.no_cache = no_cache
         self.spool_dir = (
-            Path(spool_dir).expanduser() if spool_dir
-            else self.cache_dir / "jobs"
+            Path(spool_dir).expanduser() if spool_dir else self.cache_dir / "jobs"
         )
         self.store = JobStore(self.spool_dir)
         self.engines = [
@@ -233,9 +238,7 @@ class SimService:
             if owned:
 
                 def progress(event, spec):
-                    loop.call_soon_threadsafe(
-                        job.emit, f"{event} {spec.label()}"
-                    )
+                    loop.call_soon_threadsafe(job.emit, f"{event} {spec.label()}")
 
                 def run_map():
                     engine.progress = progress
@@ -261,15 +264,7 @@ class SimService:
             self.metrics.jobs_failed += 1
             self._save(job)
             return
-        job.finish_ok([
-            {
-                "key": spec.key(),
-                "label": spec.label(),
-                "spec": spec.to_dict(),
-                "stats": results[spec.key()],
-            }
-            for spec in unique
-        ])
+        job.finish_ok([(spec, results[spec.key()]) for spec in unique])
         self.metrics.jobs_completed += 1
         self._save(job)
 
@@ -331,18 +326,14 @@ class SimService:
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         else:
-            raise _BadRequest(
-                f"more than {MAX_HEADER_LINES} header lines", 431
-            )
+            raise _BadRequest(f"more than {MAX_HEADER_LINES} header lines", 431)
         declared = headers.get("content-length", "0")
         # int() alone would also take "-5", "+5" and "5_0"
         if not (declared.isascii() and declared.isdigit()):
             raise _BadRequest("bad Content-Length")
         length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise _BadRequest(
-                f"body of {length} bytes exceeds {MAX_BODY_BYTES}", 413
-            )
+            raise _BadRequest(f"body of {length} bytes exceeds {MAX_BODY_BYTES}", 413)
         body = await reader.readexactly(length) if length > 0 else b""
         return method.upper(), target, headers, body
 
@@ -359,9 +350,12 @@ class SimService:
             return await self._method_not_allowed(writer)
         if path == "/metrics" and method == "GET":
             return await self._respond(
-                writer, 200,
+                writer,
+                200,
                 self.metrics.to_dict(
-                    self.jobs.values(), self.engines, self.coalescer,
+                    self.jobs.values(),
+                    self.engines,
+                    self.coalescer,
                     draining=self._draining,
                 ),
             )
@@ -370,9 +364,9 @@ class SimService:
                 writer, 200, {"ok": True, "draining": self._draining}
             )
         if path.startswith("/jobs/"):
-            rest = path[len("/jobs/"):]
+            rest = path[len("/jobs/") :]
             want_events = rest.endswith("/events")
-            job_id = rest[:-len("/events")] if want_events else rest
+            job_id = rest[: -len("/events")] if want_events else rest
             job = self.jobs.get(job_id.strip("/"))
             if method != "GET":
                 return await self._method_not_allowed(writer)
@@ -384,11 +378,19 @@ class SimService:
                 return await self._stream_events(writer, job)
             return await self._respond(writer, 200, job_detail(job))
         await self._respond(
-            writer, 404,
-            {"error": f"no route for {method} {path}",
-             "routes": ["POST /jobs", "GET /jobs", "GET /jobs/{id}",
-                        "GET /jobs/{id}/events", "GET /metrics",
-                        "GET /healthz"]},
+            writer,
+            404,
+            {
+                "error": f"no route for {method} {path}",
+                "routes": [
+                    "POST /jobs",
+                    "GET /jobs",
+                    "GET /jobs/{id}",
+                    "GET /jobs/{id}/events",
+                    "GET /metrics",
+                    "GET /healthz",
+                ],
+            },
         )
 
     async def _post_jobs(self, writer, body: bytes) -> None:
@@ -433,8 +435,12 @@ class SimService:
                 return
             await job.wait_events(seen)
 
-    async def _respond(self, writer, status: int, doc: dict) -> None:
-        body = json.dumps(doc, indent=2).encode("utf-8") + b"\n"
+    async def _respond(self, writer, status: int, doc: dict | str) -> None:
+        """Answer with ``doc`` as compact JSON, which the C encoder
+        writes (``indent`` would take the pure-Python one), or with
+        ``doc``'s text where it is already JSON (a job's detail)."""
+        text = doc if isinstance(doc, str) else json.dumps(doc, separators=(",", ":"))
+        body = text.encode("utf-8") + b"\n"
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
             f"Content-Type: application/json\r\n"

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.engine.backends import get_backend
 from repro.engine.spec import RunSpec
+from repro.service.jobs import splice
 
 #: refuse batches beyond this many specs in one job (a grid this large
 #: should be split into several jobs so progress/drain stay responsive)
@@ -110,9 +111,8 @@ def job_summary(job) -> dict:
     }
 
 
-def job_detail(job) -> dict:
-    """The full job view (``GET /jobs/{id}``): summary + per-spec runs
-    (spec, content key, label and complete stats) once the job is done."""
-    doc = job_summary(job)
-    doc["runs"] = job.runs
-    return doc
+def job_detail(job) -> str:
+    """The full job view (``GET /jobs/{id}``) as JSON text: summary +
+    per-spec runs (spec, content key, label and complete stats) once the
+    job is done, spliced in as the job dumped them."""
+    return splice(job_summary(job), runs=job.runs_json)

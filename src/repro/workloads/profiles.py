@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import NamedTuple
 
-from repro.memo import Memoized
+from repro.memo import InternTable, Memoized, exact_key
 
 KB = 1024
 MB = 1024 * KB
@@ -88,7 +88,8 @@ def scalar_checks(cls, names=None) -> tuple:
     ``bool`` or ``str``, optionally ``| None``."""
     return tuple(
         (f.name, *_ACCEPTS[kind], optional == "None")
-        for f in fields(cls) if names is None or f.name in names
+        for f in fields(cls)
+        if names is None or f.name in names
         for kind, _, optional in [f.type.partition(" | ")]
     )
 
@@ -216,10 +217,11 @@ class BenchProfile(Memoized):
         """JSON-safe field mapping; round-trips via :meth:`from_dict`.
 
         Built once per profile: profiles are frozen, hold only scalars
-        and are shared through the registry (a 4-thread rotation spec
-        has 40 entries over 10 profiles).  Each call gets its own copy.
+        and are shared through the registry and the parse table (a
+        4-thread rotation spec has 40 entries over 10 profiles).  Each
+        call gets its own copy.
         """
-        return dict(self._memo("_dict", lambda: asdict(self)))
+        return dict(self._memo("_dict", lambda: {n: getattr(self, n) for n in _NAMES}))
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchProfile":
@@ -228,8 +230,23 @@ class BenchProfile(Memoized):
         Accepts an optional ``base`` key naming a registered profile whose
         values seed the unspecified fields (how workload/profile files
         derive variants without repeating every knob).
+
+        Equal mappings of equal types share one object (see
+        :func:`~repro.memo.exact_key`), and with it the memos: a job
+        server parses the same ten profiles in every rotation it is
+        sent.  A mapping with a ``base`` resolves it against the
+        registry, so its key carries the registry's generation.
         """
         d = dict(d)
+        key = exact_key(d)
+        if key is None:
+            return cls._parse(d)
+        if "base" in d:
+            key = (registry_generation(), key)
+        return _PARSED.get(key, lambda: cls._parse(d))
+
+    @classmethod
+    def _parse(cls, d: dict) -> "BenchProfile":
         base_name = d.pop("base", None)
         if base_name is None:
             _check_known(d, cls, "profile")
@@ -243,15 +260,29 @@ class BenchProfile(Memoized):
 
 
 _CHECKS = scalar_checks(BenchProfile)
+_NAMES = tuple(f.name for f in fields(BenchProfile))
+
+#: parsed profiles kept for reuse: well past the built-ins and the
+#: variants a sweep derives from them
+PARSED_PROFILES = 1024
+_PARSED = InternTable(PARSED_PROFILES)
 
 #: the smallest value of each field that synthesis can build a loop body
 #: from: at least one load, one iteration, one FP chain and one byte in
 #: each address window (``index_dist`` sizes a ring of ``index_dist + 1``);
 #: a negative hot or gather share would add stream loads past the count
 _SYNTH_MINIMA = {
-    "unroll": 1, "n_streams": 1, "iters": 1, "index_every": 1,
-    "n_chains": 1, "index_dist": 0, "ws_bytes": 1, "hot_bytes": 1,
-    "store_ws_bytes": 1, "gather_ws_bytes": 1, "hot_frac": 0,
+    "unroll": 1,
+    "n_streams": 1,
+    "iters": 1,
+    "index_every": 1,
+    "n_chains": 1,
+    "index_dist": 0,
+    "ws_bytes": 1,
+    "hot_bytes": 1,
+    "store_ws_bytes": 1,
+    "gather_ws_bytes": 1,
+    "hot_frac": 0,
     "gather_frac": 0,
 }
 
@@ -263,8 +294,16 @@ RING_REGS = 8
 #: outer-loop block this many instruction slots past the body's first pc
 MAX_BODY_INSTRS = 2048
 #: the fields that size a loop iteration, named when one is too long
-_BODY_FIELDS = ("n_streams", "unroll", "gather_frac", "hot_frac", "fp_per_load",
-                "store_per_load", "extra_ialu_per_load", "rand_branch_frac")
+_BODY_FIELDS = (
+    "n_streams",
+    "unroll",
+    "gather_frac",
+    "hot_frac",
+    "fp_per_load",
+    "store_per_load",
+    "extra_ialu_per_load",
+    "rand_branch_frac",
+)
 
 
 class BodyCounts(NamedTuple):
@@ -289,10 +328,16 @@ class BodyCounts(NamedTuple):
         one included."""
         return (
             (3 if self.n_gather else 2)  # induction head
-            + self.n_gather + max(self.n_loads, self.n_gather)  # index, FP loads
-            + 2 + self.n_falu + 2 * self.n_lod  # ITOF pair, chains, FTOI pair
-            + max(0, self.n_extra_ialu) + max(0, self.n_stores) + 1  # spill
-            + max(0, self.n_rand_branch) + 1  # data-dependent, loop-back
+            + self.n_gather
+            + max(self.n_loads, self.n_gather)  # index, FP loads
+            + 2
+            + self.n_falu
+            + 2 * self.n_lod  # ITOF pair, chains, FTOI pair
+            + max(0, self.n_extra_ialu)
+            + max(0, self.n_stores)
+            + 1  # spill
+            + max(0, self.n_rand_branch)
+            + 1  # data-dependent, loop-back
         )
 
 
@@ -307,9 +352,15 @@ def _count_body(p: BenchProfile) -> BodyCounts:
     n_stores = round(n_loads * p.store_per_load)
     nominal = 3 + n_gather + n_loads + n_falu + n_stores + 2
     return BodyCounts(
-        n_loads, n_gather, n_hot, n_falu, n_stores,
-        round(p.extra_ialu_per_load * n_loads), 1 if p.lod_rate > 0 else 0,
-        round(p.rand_branch_frac * nominal), nominal,
+        n_loads,
+        n_gather,
+        n_hot,
+        n_falu,
+        n_stores,
+        round(p.extra_ialu_per_load * n_loads),
+        1 if p.lod_rate > 0 else 0,
+        round(p.rand_branch_frac * nominal),
+        nominal,
     )
 
 
@@ -328,87 +379,196 @@ SPECFP95: dict[str, BenchProfile] = {
     # Vectorised mesh generation: long dense streams, perfect decoupling,
     # significant miss ratio, write-streams its result meshes.
     "tomcatv": _p(
-        "tomcatv", n_streams=4, unroll=2, elem_bytes=8, ws_bytes=8 * MB,
-        hot_frac=0.75, hot_bytes=4 * KB, store_ws_bytes=4 * MB,
-        fp_per_load=1.4, chain_depth=2, n_chains=4, store_per_load=0.30,
+        "tomcatv",
+        n_streams=4,
+        unroll=2,
+        elem_bytes=8,
+        ws_bytes=8 * MB,
+        hot_frac=0.75,
+        hot_bytes=4 * KB,
+        store_ws_bytes=4 * MB,
+        fp_per_load=1.4,
+        chain_depth=2,
+        n_chains=4,
+        store_per_load=0.30,
         iters=100,
     ),
     # Shallow-water stencil: highest miss ratio (wide stride defeats spatial
     # locality), still decouples perfectly; the bandwidth hog of the suite.
     "swim": _p(
-        "swim", n_streams=4, unroll=2, elem_bytes=16, ws_bytes=8 * MB,
-        hot_frac=0.70, hot_bytes=4 * KB, store_ws_bytes=8 * MB,
-        fp_per_load=1.3, chain_depth=2, n_chains=4, store_per_load=0.30,
+        "swim",
+        n_streams=4,
+        unroll=2,
+        elem_bytes=16,
+        ws_bytes=8 * MB,
+        hot_frac=0.70,
+        hot_bytes=4 * KB,
+        store_ws_bytes=8 * MB,
+        fp_per_load=1.3,
+        chain_depth=2,
+        n_chains=4,
+        store_per_load=0.30,
         iters=128,
     ),
     # Quantum chromodynamics: gather through index arrays -> integer loads on
     # the AP critical path (large perceived int-load latency).
     "su2cor": _p(
-        "su2cor", n_streams=3, unroll=2, elem_bytes=8, ws_bytes=4 * MB,
-        hot_frac=0.64, hot_bytes=4 * KB, gather_frac=0.06, index_dist=1,
-        gather_ws_bytes=32 * KB, fp_per_load=1.5, chain_depth=2, n_chains=4,
-        store_per_load=0.25, iters=80,
+        "su2cor",
+        n_streams=3,
+        unroll=2,
+        elem_bytes=8,
+        ws_bytes=4 * MB,
+        hot_frac=0.64,
+        hot_bytes=4 * KB,
+        gather_frac=0.06,
+        index_dist=1,
+        gather_ws_bytes=32 * KB,
+        fp_per_load=1.5,
+        chain_depth=2,
+        n_chains=4,
+        store_per_load=0.25,
+        iters=80,
     ),
     # Navier-Stokes: dense streams, decent decoupling, high miss ratio,
     # write-streams as it sweeps.
     "hydro2d": _p(
-        "hydro2d", n_streams=4, unroll=2, elem_bytes=8, ws_bytes=8 * MB,
-        hot_frac=0.60, hot_bytes=4 * KB, gather_frac=0.03, index_dist=2,
-        gather_ws_bytes=32 * KB, store_ws_bytes=4 * MB, fp_per_load=1.4, chain_depth=2, n_chains=4,
-        store_per_load=0.35, iters=96,
+        "hydro2d",
+        n_streams=4,
+        unroll=2,
+        elem_bytes=8,
+        ws_bytes=8 * MB,
+        hot_frac=0.60,
+        hot_bytes=4 * KB,
+        gather_frac=0.03,
+        index_dist=2,
+        gather_ws_bytes=32 * KB,
+        store_ws_bytes=4 * MB,
+        fp_per_load=1.4,
+        chain_depth=2,
+        n_chains=4,
+        store_per_load=0.35,
+        iters=96,
     ),
     # Multigrid: mostly-resident fine grids, dense sweeps, excellent reuse.
     "mgrid": _p(
-        "mgrid", n_streams=3, unroll=3, elem_bytes=8, ws_bytes=2 * MB,
-        hot_frac=0.82, hot_bytes=4 * KB, fp_per_load=1.6, chain_depth=3,
-        n_chains=4, store_per_load=0.20, iters=128,
+        "mgrid",
+        n_streams=3,
+        unroll=3,
+        elem_bytes=8,
+        ws_bytes=2 * MB,
+        hot_frac=0.82,
+        hot_bytes=4 * KB,
+        fp_per_load=1.6,
+        chain_depth=3,
+        n_chains=4,
+        store_per_load=0.20,
+        iters=128,
     ),
     # Parabolic/elliptic PDE: blocked sweeps, good locality, good decoupling.
     "applu": _p(
-        "applu", n_streams=3, unroll=2, elem_bytes=8, ws_bytes=4 * MB,
-        hot_frac=0.78, hot_bytes=4 * KB, fp_per_load=1.5, chain_depth=2,
-        n_chains=4, store_per_load=0.30, iters=100,
+        "applu",
+        n_streams=3,
+        unroll=2,
+        elem_bytes=8,
+        ws_bytes=4 * MB,
+        hot_frac=0.78,
+        hot_bytes=4 * KB,
+        fp_per_load=1.5,
+        chain_depth=2,
+        n_chains=4,
+        store_per_load=0.30,
+        iters=100,
     ),
     # Turbulence FFT: tiny cache footprint but index-driven butterflies ->
     # int loads used almost immediately (poor static scheduling).
     "turb3d": _p(
-        "turb3d", n_streams=2, unroll=2, elem_bytes=8, ws_bytes=256 * KB,
-        hot_frac=0.85, hot_bytes=4 * KB, gather_frac=0.12, index_dist=0,
+        "turb3d",
+        n_streams=2,
+        unroll=2,
+        elem_bytes=8,
+        ws_bytes=256 * KB,
+        hot_frac=0.85,
+        hot_bytes=4 * KB,
+        gather_frac=0.12,
+        index_dist=0,
         index_every=12,
-        gather_ws_bytes=12 * KB, fp_per_load=1.6, chain_depth=2, n_chains=4,
-        store_per_load=0.25, iters=64,
+        gather_ws_bytes=12 * KB,
+        fp_per_load=1.6,
+        chain_depth=2,
+        n_chains=4,
+        store_per_load=0.25,
+        iters=64,
     ),
     # Mesoscale weather: moderate working set, decent decoupling.
     "apsi": _p(
-        "apsi", n_streams=3, unroll=2, elem_bytes=8, ws_bytes=2 * MB,
-        hot_frac=0.72, hot_bytes=4 * KB,
-        fp_per_load=1.5, chain_depth=2, n_chains=4, store_per_load=0.25,
+        "apsi",
+        n_streams=3,
+        unroll=2,
+        elem_bytes=8,
+        ws_bytes=2 * MB,
+        hot_frac=0.72,
+        hot_bytes=4 * KB,
+        fp_per_load=1.5,
+        chain_depth=2,
+        n_chains=4,
+        store_per_load=0.25,
         iters=80,
     ),
     # Gaussian quadrature: enormous basic blocks, working set fits L1, very
     # frequent FP->int moves (the canonical loss-of-decoupling program) and
     # integer loads scheduled right before their uses.
     "fpppp": _p(
-        "fpppp", n_streams=2, unroll=4, elem_bytes=8, ws_bytes=10 * KB,
-        hot_frac=0.90, hot_bytes=6 * KB, gather_frac=0.10, index_dist=0,
-        gather_ws_bytes=10 * KB, store_ws_bytes=4 * KB,
-        fp_per_load=2.4, chain_depth=4, n_chains=3,
-        store_per_load=0.20, lod_rate=0.006, iters=256,
+        "fpppp",
+        n_streams=2,
+        unroll=4,
+        elem_bytes=8,
+        ws_bytes=10 * KB,
+        hot_frac=0.90,
+        hot_bytes=6 * KB,
+        gather_frac=0.10,
+        index_dist=0,
+        gather_ws_bytes=10 * KB,
+        store_ws_bytes=4 * KB,
+        fp_per_load=2.4,
+        chain_depth=4,
+        n_chains=3,
+        store_per_load=0.20,
+        lod_rate=0.006,
+        iters=256,
     ),
     # Plasma particle-in-cell: particle gather/scatter through index loads,
     # significant miss ratio, short index scheduling distance.
     "wave5": _p(
-        "wave5", n_streams=3, unroll=2, elem_bytes=8, ws_bytes=4 * MB,
-        hot_frac=0.62, hot_bytes=4 * KB, gather_frac=0.07, index_dist=1,
-        gather_ws_bytes=48 * KB, fp_per_load=1.3, chain_depth=2, n_chains=4,
-        store_per_load=0.35, iters=72,
+        "wave5",
+        n_streams=3,
+        unroll=2,
+        elem_bytes=8,
+        ws_bytes=4 * MB,
+        hot_frac=0.62,
+        hot_bytes=4 * KB,
+        gather_frac=0.07,
+        index_dist=1,
+        gather_ws_bytes=48 * KB,
+        fp_per_load=1.3,
+        chain_depth=2,
+        n_chains=4,
+        store_per_load=0.35,
+        iters=72,
     ),
 }
 
 #: Benchmark order used in the paper's figures.
 BENCH_ORDER = [
-    "tomcatv", "swim", "su2cor", "hydro2d", "mgrid",
-    "applu", "turb3d", "apsi", "fpppp", "wave5",
+    "tomcatv",
+    "swim",
+    "su2cor",
+    "hydro2d",
+    "mgrid",
+    "applu",
+    "turb3d",
+    "apsi",
+    "fpppp",
+    "wave5",
 ]
 
 #: Scenario profiles beyond the paper's rotation — the workload-API
@@ -427,22 +587,53 @@ BENCH_ORDER = [
 #:   for access/execute decoupling (à la DAE code restructuring).
 SCENARIOS: dict[str, BenchProfile] = {
     "ptrchase": _p(
-        "ptrchase", n_streams=2, unroll=2, elem_bytes=8, ws_bytes=8 * MB,
-        hot_frac=0.10, hot_bytes=4 * KB, gather_frac=0.50, index_dist=0,
-        index_every=1, gather_ws_bytes=16 * KB, fp_per_load=0.9,
-        chain_depth=1, n_chains=3, store_per_load=0.10,
-        extra_ialu_per_load=0.40, iters=64,
+        "ptrchase",
+        n_streams=2,
+        unroll=2,
+        elem_bytes=8,
+        ws_bytes=8 * MB,
+        hot_frac=0.10,
+        hot_bytes=4 * KB,
+        gather_frac=0.50,
+        index_dist=0,
+        index_every=1,
+        gather_ws_bytes=16 * KB,
+        fp_per_load=0.9,
+        chain_depth=1,
+        n_chains=3,
+        store_per_load=0.10,
+        extra_ialu_per_load=0.40,
+        iters=64,
     ),
     "thrash": _p(
-        "thrash", n_streams=2, unroll=2, elem_bytes=8, ws_bytes=1 * MB,
-        hot_frac=0.85, hot_bytes=12 * KB, hot_skew=0.15,
-        store_ws_bytes=8 * KB, fp_per_load=1.2, chain_depth=2, n_chains=4,
-        store_per_load=0.30, iters=96,
+        "thrash",
+        n_streams=2,
+        unroll=2,
+        elem_bytes=8,
+        ws_bytes=1 * MB,
+        hot_frac=0.85,
+        hot_bytes=12 * KB,
+        hot_skew=0.15,
+        store_ws_bytes=8 * KB,
+        fp_per_load=1.2,
+        chain_depth=2,
+        n_chains=4,
+        store_per_load=0.30,
+        iters=96,
     ),
     "stream": _p(
-        "stream", n_streams=4, unroll=1, elem_bytes=8, ws_bytes=16 * MB,
-        hot_frac=0.0, store_ws_bytes=16 * MB, fp_per_load=1.5,
-        chain_depth=2, n_chains=4, store_per_load=0.50, iters=160,
+        "stream",
+        n_streams=4,
+        unroll=1,
+        elem_bytes=8,
+        ws_bytes=16 * MB,
+        hot_frac=0.0,
+        store_ws_bytes=16 * MB,
+        fp_per_load=1.5,
+        chain_depth=2,
+        n_chains=4,
+        store_per_load=0.50,
+        iters=160,
     ),
 }
 
@@ -545,9 +736,7 @@ def load_profiles(path) -> list[str]:
         if not isinstance(body, dict):
             raise ValueError(f"{path}: profile {name!r} must be a mapping")
         body = {"name": name, **body}
-        register_profile(
-            BenchProfile.from_dict(body), provenance=str(path)
-        )
+        register_profile(BenchProfile.from_dict(body), provenance=str(path))
         names.append(name)
     return names
 

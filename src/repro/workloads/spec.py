@@ -28,8 +28,9 @@ Identity: ``WorkloadSpec`` is a frozen dataclass (structural ``==`` /
 part of :meth:`~repro.engine.spec.RunSpec.key` that addresses the result
 cache, identical across processes and interpreter runs; :meth:`key`
 hashes it. Both the hash and the JSON are computed once per object (see
-:mod:`repro.memo`), and the paper presets hand out one shared object
-per argument tuple, so a grid computes them once.
+:mod:`repro.memo`), the paper presets hand out one shared object
+per argument tuple and :meth:`~WorkloadSpec.from_dict` one per parsed
+document, so a grid or a batch of parsed specs computes them once.
 
 Files: :func:`load_workload` reads a workload document from JSON or TOML
 (see DESIGN.md "Workload API" for the schema); a document may embed a
@@ -49,7 +50,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from repro.memo import Memoized
+from repro.memo import InternTable, Memoized, exact_key
 from repro.workloads.profiles import (
     BENCH_ORDER,
     BenchProfile,
@@ -243,7 +244,7 @@ class WorkloadSpec(Memoized):
         for playlist in self.threads:
             for entry in playlist:
                 prior = seen.setdefault(entry.profile.name, entry.profile)
-                if prior != entry.profile:
+                if prior is not entry.profile and prior != entry.profile:
                     raise ValueError(
                         f"two entries both named {entry.profile.name!r} "
                         "carry different field values; give them "
@@ -343,7 +344,21 @@ class WorkloadSpec(Memoized):
     @classmethod
     def from_dict(cls, d: dict) -> "WorkloadSpec":
         """Inverse of :meth:`to_dict`; also accepts the hand-authored file
-        shape where entries are compact strings (see module docstring)."""
+        shape where entries are compact strings (see module docstring).
+
+        Equal documents of equal types share one object (see
+        :func:`~repro.memo.exact_key`), so a batch of specs over one
+        workload hashes and serializes it once.  Entries may name
+        registered profiles, so the key carries the registry's
+        generation.
+        """
+        key = exact_key(d)
+        if key is None:
+            return cls._parse(d)
+        return _PARSED.get((registry_generation(), key), lambda: cls._parse(d))
+
+    @classmethod
+    def _parse(cls, d: dict) -> "WorkloadSpec":
         _check_known(d, cls, "workload")
         threads = d.get("threads")
         if not isinstance(threads, (list, tuple)):
@@ -366,10 +381,11 @@ class WorkloadSpec(Memoized):
         :meth:`RunSpec.key() <repro.engine.spec.RunSpec.key>` splices
         into its own payload, so a grid of specs sharing one workload
         object serializes it once. The memo is per object, never per
-        content: a profile float field that holds ``1`` compares and
-        hashes equal to one holding ``1.0`` but serializes differently,
-        so a cache keyed by content would hand one of them the other's
-        key."""
+        equal content: a profile float field that holds ``1`` compares
+        and hashes equal to one holding ``1.0`` but serializes
+        differently, so a cache keyed by ``==`` would hand one of them
+        the other's key. The parse table (:meth:`from_dict`) shares
+        objects only between documents of equal values *and* types."""
         return self._memo("_json", lambda: json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
         ))
@@ -462,6 +478,9 @@ _SPEC_CHECKS = scalar_checks(WorkloadSpec, {
 #: distinct preset workloads kept alive; a process rarely builds more
 #: than a few dozen (thread counts x segment lengths)
 _SHARED_PRESETS = 256
+
+#: parsed workload documents kept for reuse, as many as presets
+_PARSED = InternTable(_SHARED_PRESETS)
 
 
 @lru_cache(maxsize=_SHARED_PRESETS, typed=True)

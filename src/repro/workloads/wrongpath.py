@@ -72,9 +72,7 @@ class WrongPathGenerator:
     #: instructions per PC-wrap period: the pool the stream cycles through
     _POOL_SIZE = 0x4000 // _INST_BYTES
 
-    def __init__(
-        self, seed: int, data_base: int = HOT_BASE, data_span: int = 2 * 1024
-    ):
+    def __init__(self, seed: int, data_base: int = HOT_BASE, data_span: int = 2 * 1024):
         self.seed = seed
         self.data_base = data_base
         self.data_span = data_span

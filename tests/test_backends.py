@@ -1,5 +1,8 @@
 """Backend registry + analytic fast model (tiny budgets)."""
 
+import threading
+import time
+
 import pytest
 
 from repro.engine import (
@@ -14,6 +17,7 @@ from repro.engine.backends import Backend, CycleBackend
 from repro.model.analytic import AnalyticBackend, solve
 from repro.model.charwalk import character_key, characterize
 from repro.stats.counters import N_SLOT_CATEGORIES, SimStats
+from repro.workloads.spec import WorkloadSpec
 
 
 @pytest.fixture(autouse=True)
@@ -110,6 +114,50 @@ class TestCharacterization:
         char = characterize(spec, spec.machine_config())
         assert char.n_threads == 1
         assert char.instrs == spec.budgets()[0]
+
+    def test_threads_that_first_need_one_walk_walk_it_once(self, monkeypatch):
+        spec = tiny(seed=7919)  # a key no other test walks
+        cfg = spec.machine_config()
+        walks = []
+        playlists = WorkloadSpec.playlists
+
+        def slow_playlists(workload, seed=0):
+            walks.append(seed)
+            time.sleep(0.2)  # the other thread asks while this one walks
+            return playlists(workload, seed)
+
+        monkeypatch.setattr(WorkloadSpec, "playlists", slow_playlists)
+        start = threading.Barrier(2)
+        chars = [None, None]
+
+        def walk(i):
+            start.wait()
+            chars[i] = characterize(spec, cfg)
+
+        threads = [threading.Thread(target=walk, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert walks == [7919]
+        assert chars[0] is chars[1] is not None
+
+    def test_a_failed_walk_is_not_kept(self, monkeypatch):
+        spec = tiny(seed=7927)
+        playlists = WorkloadSpec.playlists
+        calls = []
+
+        def failing_once(workload, seed=0):
+            calls.append(seed)
+            if len(calls) == 1:
+                raise OSError("disk full")
+            return playlists(workload, seed)
+
+        monkeypatch.setattr(WorkloadSpec, "playlists", failing_once)
+        with pytest.raises(OSError, match="disk full"):
+            characterize(spec, spec.machine_config())
+        assert characterize(spec, spec.machine_config()).instrs > 0
+        assert len(calls) == 2
 
 
 class TestAnalyticModel:

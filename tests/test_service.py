@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import os
 import socket
 import threading
 import time
@@ -27,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import MachineConfig
 from repro.engine import Counters, RouterSpec, RunSpec
 from repro.engine.backends import Backend, get_backend, register_backend
+from repro.engine.cache import ORPHAN_TMP_AGE_S
 from repro.memory.spec import (
     InterconnectSpec,
     LevelSpec,
@@ -340,16 +342,20 @@ class TestWire:
 class TestJobStore:
     def test_record_roundtrip(self, tmp_path):
         store = JobStore(tmp_path)
-        job = Job([fast_spec()], label="spooled")
+        spec = fast_spec()
+        job = Job([spec], label="spooled")
         job.mark_running()
-        job.finish_ok([{"key": "k", "stats": {"ipc": 1.0}}])
+        job.finish_ok([(spec, {"ipc": 1.0})])
         store.save(job)
         (loaded,) = store.load_all()
         assert loaded.id == job.id
         assert loaded.label == "spooled"
         assert loaded.state == "done"
         assert loaded.specs == job.specs
-        assert loaded.runs == job.runs
+        assert loaded.runs == job.runs == [{
+            "key": spec.key(), "label": spec.label(),
+            "spec": spec.to_dict(), "stats": {"ipc": 1.0},
+        }]
 
     def test_load_all_skips_garbage(self, tmp_path):
         store = JobStore(tmp_path)
@@ -826,6 +832,24 @@ class TestDrainAndRecovery:
             assert final["state"] == "done"
             assert final["runs"][0]["key"] == spec.key()
             assert any("recovered" in line for line in svc.jobs[orphan.id].events)
+        finally:
+            _drain(svc, thread)
+
+    def test_boot_sweeps_stale_spool_orphans_and_keeps_fresh_ones(
+        self, tmp_path
+    ):
+        # a server killed inside the atomic writer leaves its temp file
+        spool = tmp_path / "spool"
+        JobStore(spool).save(Job([fast_spec(seed=22)]))
+        stale, fresh = spool / "deadbeef.tmp", spool / "cafef00d.tmp"
+        stale.write_bytes(b"killed mid-write")
+        ancient = time.time() - ORPHAN_TMP_AGE_S - 60
+        os.utime(stale, (ancient, ancient))
+        fresh.write_bytes(b"a live writer's, about to be replaced")
+        svc, thread = _boot(tmp_path)
+        try:
+            assert not stale.exists()
+            assert fresh.exists()
         finally:
             _drain(svc, thread)
 

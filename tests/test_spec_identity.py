@@ -24,7 +24,9 @@ import pytest
 import repro
 from repro.engine import RunSpec
 from repro.engine.spec import SPEC_VERSION
+import repro.workloads.profiles as profiles_mod
 from repro.workloads.profiles import (
+    BenchProfile,
     get_profile,
     profile_provenance,
     register_profile,
@@ -266,3 +268,93 @@ def test_pickle_carries_no_workload_json():
     loaded = pickle.loads(blob)
     assert "_json" not in loaded.workload.__dict__
     assert loaded.key() == spec.key()
+
+
+def test_run_spec_hash_is_structural_and_computed_once():
+    spec = build("mem_l2_finite")
+    structural = hash(tuple(getattr(spec, f.name) for f in dataclasses.fields(spec)))
+    assert hash(spec) == structural
+    assert spec.__dict__["_hash"] == structural
+    loaded = pickle.loads(pickle.dumps(spec))
+    assert "_hash" not in loaded.__dict__  # str hashes are salted per process
+    assert hash(loaded) == structural and loaded == spec
+
+
+class TestParseSharing:
+    """``BenchProfile.from_dict`` and ``WorkloadSpec.from_dict`` hand out
+    one object per exact input document, so the memos of what they
+    build are shared across parses, and never across documents that
+    only compare equal."""
+
+    @staticmethod
+    def wired(spec):
+        return json.loads(json.dumps(spec.to_dict()))
+
+    def test_equal_documents_share_one_workload_and_its_profiles(self):
+        spec = build("rotation_4T")
+        first = RunSpec.from_dict(self.wired(spec))
+        second = RunSpec.from_dict(self.wired(spec))
+        assert first is not second
+        assert first.workload is second.workload
+        entries = [e for playlist in first.workload.threads for e in playlist]
+        assert len(entries) == 40
+        assert len({id(e.profile) for e in entries}) == 10
+        assert first.key() == second.key() == PINNED["rotation_4T"][0]
+        # a different workload over the same profiles shares them too
+        three = RunSpec.from_dict(self.wired(RunSpec.multiprogrammed(3, scale=0.1)))
+        assert {id(e.profile) for e in three.workload.threads[0]} == {
+            id(e.profile) for e in entries
+        }
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [("fp_per_load", (1, 1.0)), ("hot_frac", (0.0, -0.0))],
+        ids=["int-float", "zero-signs"],
+    )
+    def test_equal_values_of_other_types_stay_distinct(self, field, values):
+        profiles, specs = [], []
+        for value in values:
+            doc = get_profile("swim").to_dict()
+            doc[field] = value
+            profiles.append(BenchProfile.from_dict(doc))
+            spec_doc = RunSpec.multiprogrammed(1, scale=0.1).to_dict()
+            spec_doc["workload"]["threads"][0][0]["profile"][field] = value
+            specs.append(RunSpec.from_dict(spec_doc))
+        assert profiles[0] == profiles[1] and profiles[0] is not profiles[1]
+        for profile, value in zip(profiles, values):
+            assert repr(profile.to_dict()[field]) == repr(value)
+        assert specs[0].workload is not specs[1].workload
+        assert specs[0].key() != specs[1].key()
+        for spec in specs:
+            assert (spec.key(), spec.warmup_key()) == plain_keys(spec)
+
+    def test_a_bool_is_refused_after_the_int_was_parsed(self):
+        doc = get_profile("swim").to_dict()
+        doc["unroll"] = 1
+        assert BenchProfile.from_dict(doc).unroll == 1
+        doc["unroll"] = True
+        with pytest.raises(ValueError, match="unroll must be an int"):
+            BenchProfile.from_dict(doc)
+
+    def test_base_and_named_entries_follow_a_replaced_registration(self):
+        swim, provenance = get_profile("swim"), profile_provenance("swim")
+        derived = {"name": "swim-variant", "base": "swim", "unroll": 3}
+        workload = {"name": "w", "threads": [["swim"]]}
+        assert BenchProfile.from_dict(derived).hot_frac == swim.hot_frac
+        assert WorkloadSpec.from_dict(workload).threads[0][0].profile is swim
+        try:
+            register_profile(dataclasses.replace(swim, hot_frac=0.125))
+            assert BenchProfile.from_dict(derived).hot_frac == 0.125
+            entry = WorkloadSpec.from_dict(workload).threads[0][0]
+            assert entry.profile.hot_frac == 0.125
+        finally:
+            register_profile(swim, provenance=provenance)
+        assert BenchProfile.from_dict(derived).hot_frac == swim.hot_frac
+
+    def test_the_profile_table_keeps_its_bound(self):
+        for i in range(10_000):
+            BenchProfile.from_dict({"name": f"bound-{i}"})
+        assert len(profiles_mod._PARSED) == profiles_mod.PARSED_PROFILES
+        # the newest are kept: a repeat parse is served from the table
+        last = {"name": "bound-9999"}
+        assert BenchProfile.from_dict(last) is BenchProfile.from_dict(last)
