@@ -138,6 +138,7 @@ def once_per_key(maxsize: int):
                         if results.get(key) is future:
                             del results[key]
                     future.set_exception(exc)
+                    raise
             return future.result()
 
         return cached

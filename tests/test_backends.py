@@ -131,14 +131,15 @@ class TestCharacterization:
         chars = [None, None]
 
         def walk(i):
-            start.wait()
+            start.wait(timeout=30)
             chars[i] = characterize(spec, cfg)
 
         threads = [threading.Thread(target=walk, args=(i,)) for i in (0, 1)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
         assert walks == [7919]
         assert chars[0] is chars[1] is not None
 
