@@ -16,9 +16,10 @@ property — in-flight jobs run to completion and their final write
 persists the results before the process exits.
 
 A job's documents are written as compact JSON, and each spec is dumped
-once: at accept, as :meth:`RunSpec.canonical_json`, which every spool
-record and the done document splice in as text.  The results are
-dumped once too, when the job finishes (:attr:`Job.runs_json`).
+once: by the first spool write, at accept, as
+:meth:`RunSpec.canonical_json`, which every later record and the done
+document splice in as text.  The results are dumped once too, when the
+job finishes (:attr:`Job.runs_json`).
 """
 
 from __future__ import annotations
@@ -78,8 +79,6 @@ class Job:
         self.id = job_id or new_job_id()
         self.label = label
         self.specs = list(specs)
-        for spec in self.specs:  # dumped here, once, at accept
-            spec.canonical_json()
         self.state = "queued"
         self.created = time.time() if created is None else created
         self.started: float | None = None
