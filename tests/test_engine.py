@@ -9,6 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from test_snapshot import FORK_GROUPS, fork_sibling
 
 from repro.engine import Engine, ResultCache, RunSpec, Sweep, submit
 from repro.engine.cache import CACHE_FORMAT, default_cache_dir
@@ -467,6 +468,49 @@ class TestForkedSweeps:
         cold = Engine(workers=1).map(specs)
         for spec in specs:
             assert result[spec].to_dict() == cold[spec].to_dict()
+
+    @pytest.mark.parametrize("name", list(FORK_GROUPS))
+    def test_group_shapes_serial(self, name):
+        members = FORK_GROUPS[name]
+        events = {}
+        engine = Engine(
+            workers=1, fork_warmup=2,
+            progress=lambda ev, s: events.setdefault(s, ev),
+        )
+        result = engine.map(members)
+        assert result.n_executed == len(members)
+        assert result.n_forked == len(members) - 1
+        # the first member in submission order pays the warm-up
+        assert events == {
+            s: "forked" if i else "executed" for i, s in enumerate(members)
+        }
+        for spec in members:
+            assert result[spec].to_dict() == spec.execute().to_dict()
+
+    def test_group_shapes_with_a_pool(self, tmp_path):
+        # every group in one map, so that the pool runs several at once
+        specs = [s for members in FORK_GROUPS.values() for s in members]
+        engine = Engine(workers=2, cache=ResultCache(tmp_path), fork_warmup=2)
+        result = engine.map(specs)
+        assert result.n_executed == len(specs)
+        assert result.n_forked == len(specs) - len(FORK_GROUPS)
+        for spec in specs:
+            assert result[spec].to_dict() == spec.execute().to_dict()
+
+    def test_new_budgets_beside_an_old_member_fork_from_the_cache(
+        self, tmp_path
+    ):
+        cache = ResultCache(tmp_path)
+        old, other, *new = (fork_sibling(c) for c in (1000, 800, 1200, 900))
+        Engine(workers=1, cache=cache, fork_warmup=2).map([old, other])
+        assert cache.snapshot_path(old.warmup_key()).is_file()
+        result = Engine(workers=1, cache=cache, fork_warmup=2).map(
+            [old, *new]
+        )
+        assert result.n_cached == 1 and result.n_executed == 2
+        assert result.n_forked == 2
+        for spec in (old, *new):
+            assert result[spec].to_dict() == spec.execute().to_dict()
 
     def test_group_below_threshold_stays_cold(self):
         result = Engine(workers=1, fork_warmup=2).map([forkable(600)])

@@ -451,6 +451,14 @@ def _run_doc(tmp) -> dict:
     }
 
 
+def _mixed_forked_doc(tmp) -> dict:
+    return _routed_doc(
+        [fast_spec(backend="analytic"), fast_spec(backend="cycle")]
+        + hybrid_grid(latencies=(16, 256), commits_per_thread=[1500, 3000],
+                      router=RouterSpec(promote_budget=5)),
+        workers=1, cache=None, fork_warmup=2)
+
+
 #: name -> (the scenario's document from a tmp dir, its sha256)
 PINNED_ROUTING = {
     "serial": (
@@ -478,12 +486,17 @@ PINNED_ROUTING = {
     # the plain specs are twins of two routed sub-specs (memo hits), and
     # promoted cells that differ only in their budget fork
     "mixed_forked": (
-        lambda tmp: _routed_doc(
-            [fast_spec(backend="analytic"), fast_spec(backend="cycle")]
-            + hybrid_grid(latencies=(16, 256), commits_per_thread=[1500, 3000],
-                          router=RouterSpec(promote_budget=5)),
-            workers=1, cache=None, fork_warmup=2),
+        _mixed_forked_doc,
         "7dcb0355b7e30384c137714c8080a890948a8e41e9a410fad63258ae777198f1"),
+    # the same map apart from the order in which its results land
+    "mixed_forked_without_events": (
+        lambda tmp: {
+            k: v for k, v in _mixed_forked_doc(tmp).items() if k != "events"
+        },
+        "fa03cd78a46fa5458616c979b34680ff928821181106448e7a97745f82748c64"),
+    "mixed_forked_sorted_events": (
+        lambda tmp: sorted(_mixed_forked_doc(tmp)["events"]),
+        "bf65b3f78dd265da06e2014da3d1b6118950c413265949ba82be62a02eb67088"),
     "engine_run": (
         _run_doc,
         "3e04f8e99840eb921e0ff20d6b008480ca322d283c8d347cb2d85a9fe7c7990c"),

@@ -238,15 +238,31 @@ class TestMidRegionCapture:
         assert proc.state.fingerprint() == twin.state.fingerprint()
 
 
+def fork_sibling(commits: int, n_threads: int = 2, **kw) -> RunSpec:
+    return RunSpec.multiprogrammed(
+        n_threads, l2_latency=64, commits_per_thread=commits,
+        warmup_per_thread=400, scale=1.0, seg_instrs=4000, **kw,
+    )
+
+
+#: warm-up groups of the forked-sweep suites (here and in
+#: ``test_engine.py``): name -> members in submission order
+FORK_GROUPS = {
+    # 1600 and 1602 commits: one cycle's commits pass both budgets
+    "one_commit_apart": [fork_sibling(800), fork_sibling(801)],
+    # _scaled's 500-commit floor resolves both to one budget
+    "floor_collapse": [fork_sibling(c, seed=1) for c in (100, 400)],
+    "four_threads": [fork_sibling(c, n_threads=4) for c in (1200, 800, 1000)],
+    "non_decoupled": [fork_sibling(c, decoupled=False) for c in (1000, 800, 1200)],
+}
+
+
 class TestForkedSiblings:
     """One warm-up snapshot fans out to cells with different measured
     budgets; every tail must equal its own cold run."""
 
     def _spec(self, commits):
-        return RunSpec.multiprogrammed(
-            2, l2_latency=64, commits_per_thread=commits,
-            warmup_per_thread=400, scale=1.0, seg_instrs=4000,
-        )
+        return fork_sibling(commits)
 
     def test_shared_warmup_key(self):
         a, b = self._spec(800), self._spec(1600)
@@ -260,6 +276,31 @@ class TestForkedSiblings:
         for commits in (800, 1200, 1600):
             sib = self._spec(commits)
             assert run_tail(sib, snap).to_dict() == sib.execute().to_dict()
+
+    def test_group_shapes_hold_what_they_pin(self):
+        keys = [{s.warmup_key() for s in m} for m in FORK_GROUPS.values()]
+        assert all(len(k) == 1 for k in keys)
+        assert len(set.union(*keys)) == len(FORK_GROUPS)
+        specs = [s for members in FORK_GROUPS.values() for s in members]
+        assert len(set(specs)) == len(specs)
+        a, b = FORK_GROUPS["one_commit_apart"]
+        assert b.budgets()[0] - a.budgets()[0] == 2
+        assert run_cold(a)[1].cycles == run_cold(b)[1].cycles
+        a, b = FORK_GROUPS["floor_collapse"]
+        assert a.budgets() == b.budgets()
+
+    @pytest.mark.parametrize("name", list(FORK_GROUPS))
+    def test_group_shapes_restore_to_each_cold_run(self, name):
+        members = FORK_GROUPS[name]
+        snap, _ = capture_warmup(members[0])
+        snap = Snapshot.from_bytes(snap.to_bytes())
+        for spec in members:
+            proc_cold, stats_cold = run_cold(spec)
+            proc = snap.restore(spec)
+            kw = spec.run_kwargs()
+            kw["warmup_commits"] = 0
+            assert proc.run(**kw).to_dict() == stats_cold.to_dict()
+            assert proc.state.fingerprint() == proc_cold.state.fingerprint()
 
 
 class TestSnapshotFormat:
