@@ -588,6 +588,7 @@ def _run_with_snapshot(args, spec, title: str) -> int:
         Snapshot,
         SnapshotError,
         capture_warmup,
+        measure_group,
         run_tail,
     )
 
@@ -602,7 +603,7 @@ def _run_with_snapshot(args, spec, title: str) -> int:
         try:
             with open(args.restore, "rb") as fh:
                 snap = Snapshot.from_bytes(fh.read())
-            stats = run_tail(spec, snap)
+            (stats,) = run_tail([spec], snap)
         except (OSError, SnapshotError) as exc:
             print(f"--restore {args.restore}: {exc}", file=sys.stderr)
             return 2
@@ -616,9 +617,8 @@ def _run_with_snapshot(args, spec, title: str) -> int:
         f"warmup_key {snap.meta['warmup_key']}]",
         file=sys.stderr,
     )
-    kwargs = spec.run_kwargs()
-    kwargs["warmup_commits"] = 0
-    print(format_run(proc.run(**kwargs), title))
+    (stats,) = measure_group(proc, [spec])
+    print(format_run(stats, title))
     return 0
 
 
@@ -884,12 +884,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "grid axis — cells differing only here share a "
                         "warm-up prefix, so this pairs with --fork-warmup")
     p.add_argument("--fork-warmup", type=int, default=None, metavar="N",
-                   help="fork cells sharing a warm-up prefix (same "
-                        "workload/seed/machine/warm-up budget) from one "
-                        "warm-up simulation when at least N of them miss "
-                        "the cache (floor 2); results are bit-identical "
-                        "to cold runs, only faster. Snapshots persist in "
-                        "the result cache for later sweeps.")
+                   help="run cells sharing a warm-up prefix (same "
+                        "workload/seed/machine/warm-up budget) on one "
+                        "machine when at least N of them miss the cache "
+                        "(floor 2): one warm-up, then one measured region "
+                        "through every cell's --commits budget; results "
+                        "are bit-identical to cold runs, only faster. The "
+                        "warm-up snapshot persists in the result cache, so "
+                        "a later sweep that adds a budget skips the "
+                        "warm-up.")
     g = p.add_argument_group(
         "router (--backend hybrid)",
         "multi-fidelity routing: the whole grid is screened on the "

@@ -51,6 +51,8 @@ everywhere.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.core.config import MachineConfig
 from repro.core.state import MachineState
 from repro.core.stages import build_stages
@@ -262,15 +264,22 @@ class Processor:
 
     def run(
         self,
-        max_commits: int | None = None,
+        max_commits: int | Sequence[int] | None = None,
         max_cycles: int | None = 2_000_000,
         warmup_commits: int = 0,
         fast_forward: bool = True,
-    ) -> SimStats:
+    ) -> SimStats | list[SimStats]:
         """Run the machine and return the (finalised) statistics.
 
         Args:
-            max_commits: stop after this many post-warm-up commits.
+            max_commits: stop after this many post-warm-up commits.  A
+                sequence of budgets runs the measured region once, to the
+                largest, and returns a list: the statistics at each
+                budget, in the order given.  Each equals the result of a
+                run to that budget alone, because such a run is a prefix
+                of a run to any larger budget: the loop carries its idle
+                hint across each stop and keeps the one cycle limit set
+                when the region starts.
             max_cycles: hard cycle bound (post warm-up).
             warmup_commits: commits to execute (and discard) before the
                 measured region starts.
@@ -290,14 +299,25 @@ class Processor:
                 finite=False,
             )
             self.reset_stats()
-        commit_target = (
-            st.total_committed + max_commits if max_commits else None
-        )
         cycle_limit = st.cycle + max_cycles if max_cycles else None
-        self._run_region(
-            commit_target, cycle_limit, fast_forward, finite=st.finite
-        )
-        return self.snapshot()
+        if not isinstance(max_commits, Sequence):
+            commit_target = (
+                st.total_committed + max_commits if max_commits else None
+            )
+            self._run_region(
+                commit_target, cycle_limit, fast_forward, finite=st.finite
+            )
+            return self.snapshot()
+        start = st.total_committed
+        idle_hint = False
+        out: list = [None] * len(max_commits)
+        for i in sorted(range(len(max_commits)), key=max_commits.__getitem__):
+            idle_hint = self._run_region(
+                start + max_commits[i], cycle_limit, fast_forward, st.finite,
+                idle_hint,
+            )
+            out[i] = self.snapshot().copy()
+        return out
 
     def _run_region(
         self,
@@ -305,7 +325,8 @@ class Processor:
         cycle_limit: int | None,
         fast_forward: bool,
         finite: bool,
-    ) -> None:
+        idle_hint: bool = False,
+    ) -> bool:
         """The hot cycle loop of one region (warm-up or measured).
 
         Semantically ``while not done: step()`` plus idle-window jumps,
@@ -317,22 +338,24 @@ class Processor:
         cycle that moved no instruction, so busy cycles pay an integer
         sum, not a full scan. ``step()`` stays the reference
         single-cycle entry point for tracers and tests.
+
+        Returns the hint at the stop, so that a run through several
+        commit budgets continues exactly as a run to the last one would.
         """
         st = self.state
         mem = st.mem
         fast = self._fast_forward
         t0, t1, t2, t3, t4, t5 = self._ticks
-        idle_hint = False
         while True:
             if (
                 commit_target is not None
                 and st.total_committed >= commit_target
             ):
-                break
+                return idle_hint
             if cycle_limit is not None and st.cycle >= cycle_limit:
-                break
+                return idle_hint
             if finite and self.finished():
-                break
+                return idle_hint
             if idle_hint and fast_forward and fast(cycle_limit):
                 idle_hint = False
                 continue

@@ -10,25 +10,29 @@ specs go to :func:`repro.router.hybrid.route_grid` as one grid instead,
 which resolves their analytic screens and promoted cycle cells through
 the same step.
 
-A planner turns the misses into tasks: a *cold* cell; a warm-up group's
-*lead*, which simulates the group's shared warm-up once, snapshots the
-boundary (:mod:`repro.engine.snapshot`) and runs its own measured
-region; and a *tail*, which restores that snapshot to simulate only its
-own measured region and is ready once the snapshot exists — in the
-cache, or when its lead lands.  Groups exist only under ``fork_warmup``:
-cycle misses sharing a :meth:`~repro.engine.spec.RunSpec.warmup_key`
-evolve identically until measurement starts.  Forked results stay
-byte-identical to cold runs; only the wall clock changes.
+A planner turns the misses into tasks: a *cold* cell, or one task per
+warm-up group.  Groups exist only under ``fork_warmup``: cycle misses
+sharing a :meth:`~repro.engine.spec.RunSpec.warmup_key` evolve
+identically until measurement starts, and differ only in their measured
+commit budget, so a member's run to its budget is a prefix of a
+sibling's run to any larger one.  A group runs on one machine
+(:mod:`repro.engine.snapshot`): a *lead* warms it up once and snapshots
+the boundary for the cache, a *tail* restores the group's cached
+snapshot once, and either then runs the measured region once, through
+every member's budget.  Forked results stay byte-identical to cold runs;
+only the wall clock changes.
 
 One ``wait(FIRST_COMPLETED)`` loop runs the tasks on one
 :class:`~concurrent.futures.ProcessPoolExecutor`, or in this process when
-at most one task is worth a worker (``workers=1``, a one-cell batch, the
-analytic backend).  Each result is recorded once, as it lands — memo,
-cache write, counters, progress event — so an interrupted sweep resumes
-from what already landed.  A tail whose snapshot cannot be restored runs
-cold instead, counted as unforked.  Pool workers exchange plain dicts
-(``RunSpec.to_dict`` / ``SimStats.to_dict``, the cache's representation);
-in-process tasks call the :class:`RunSpec` methods directly.
+at most one task is worth a worker (``workers=1``, a one-cell batch or
+one group, the analytic backend).  Each result is recorded once, as its
+task lands — memo, cache write, counters, progress event — so an
+interrupted sweep resumes from what already landed; a group's members
+land together.  A tail whose snapshot cannot be restored re-warms its
+group as a lead, whose snapshot replaces the bad file.  Pool workers
+exchange plain dicts (``RunSpec.to_dict`` / ``SimStats.to_dict``, the
+cache's representation); in-process tasks call the :class:`RunSpec`
+methods directly.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.engine import snapshot
 from repro.engine.backends import get_backend
@@ -86,18 +90,13 @@ def resolve_workers(workers: int | None = None) -> int:
     return max(1, workers)
 
 
-def _lead(spec: RunSpec):
-    """Pay ``spec``'s warm-up once, snapshot the boundary, then run its
-    own measured region on the same machine.
-
-    Returns ``(snapshot, stats)``; the stats are bit-identical to a cold
-    ``execute()`` because capture is non-destructive and the continued
-    run resolves the same budgets.
-    """
-    snap, proc = snapshot.capture_warmup(spec)
-    kwargs = spec.run_kwargs()
-    kwargs["warmup_commits"] = 0
-    return snap, proc.run(**kwargs)
+def _lead(specs: Sequence[RunSpec]):
+    """Pay the group's warm-up once, snapshot the boundary, then measure
+    every member on the same machine: ``(snapshot, [stats])``.  Capture
+    is non-destructive, so each result is bit-identical to a cold
+    ``execute()``."""
+    snap, proc = snapshot.capture_warmup(specs[0])
+    return snap, snapshot.measure_group(proc, specs)
 
 
 # The three pool entry points.  They stay module-level (the pool pickles
@@ -109,21 +108,18 @@ def _execute_payload(spec_dict: dict) -> dict:
     return RunSpec.from_dict(spec_dict).execute().to_dict()
 
 
-def _warmup_payload(spec_dict: dict) -> tuple[bytes, dict]:
-    """Worker side of a lead: ``(snapshot_bytes, stats_dict)``."""
-    snap, stats = _lead(RunSpec.from_dict(spec_dict))
-    return snap.to_bytes(), stats.to_dict()
+def _warmup_payload(spec_dicts: list[dict]) -> tuple[bytes, list[dict]]:
+    """Worker side of a lead: ``(snapshot_bytes, [stats_dict])``."""
+    snap, stats = _lead([RunSpec.from_dict(d) for d in spec_dicts])
+    return snap.to_bytes(), [s.to_dict() for s in stats]
 
 
-def _tail_payload(
-    spec_dict: dict, snap_path: str | None, snap_bytes: bytes | None
-) -> dict:
-    """Worker side of a tail: restore the group snapshot (from the cache
-    file when one exists, else from inlined bytes) and simulate only
-    this spec's measured region."""
-    data = snap_bytes if snap_bytes is not None else Path(snap_path).read_bytes()
-    snap = snapshot.Snapshot.from_bytes(data)
-    return snapshot.run_tail(RunSpec.from_dict(spec_dict), snap).to_dict()
+def _tail_payload(spec_dicts: list[dict], snap_path: str) -> list[dict]:
+    """Worker side of a tail: restore the group's snapshot from its cache
+    file once and measure every member."""
+    snap = snapshot.Snapshot.from_bytes(Path(snap_path).read_bytes())
+    specs = [RunSpec.from_dict(d) for d in spec_dicts]
+    return [s.to_dict() for s in snapshot.run_tail(specs, snap)]
 
 
 @dataclass
@@ -137,9 +133,9 @@ class Counters:
     """
 
     n_cached: int = 0  #: served from the memo or the on-disk cache
-    n_executed: int = 0  #: simulated, forked tails included
-    n_forked: int = 0  #: restored a warm-up snapshot instead of warming
-    warmup_cycles_saved: int = 0  #: warm-up cycles those restores skipped
+    n_executed: int = 0  #: simulated, forked cells included
+    n_forked: int = 0  #: measured from a warm-up another run paid for
+    warmup_cycles_saved: int = 0  #: warm-up cycles those cells skipped
     n_screened: int = 0  #: routed cells answered analytically
     n_promoted: int = 0  #: routed cells answered by the cycle backend
     #: event-horizon skips: fresh simulations only in the engine's totals;
@@ -197,35 +193,40 @@ class SweepResult(dict, _ReadsCounters):
 
 
 class _Task(NamedTuple):
-    """One unit of work: ``kind`` is ``"cold"``, ``"lead"`` or ``"tail"``;
-    ``key`` is the warm-up group's warmup_key for the latter two."""
+    """One unit of work: ``kind`` is ``"cold"`` (one spec), ``"lead"`` or
+    ``"tail"`` (a warm-up group's misses in submission order); ``key`` is
+    the group's warmup_key and ``snap`` a tail's cached snapshot."""
 
     kind: str
-    spec: RunSpec
+    specs: tuple[RunSpec, ...]
     key: str | None = None
+    snap: snapshot.Snapshot | None = None
 
 
 def _pool_worthy(task: _Task) -> bool:
-    return get_backend(task.spec.backend).process_pool_worthwhile
+    return get_backend(task.specs[0].backend).process_pool_worthwhile
 
 
-def _run_here(task: _Task, snaps: dict):
-    """Run ``task`` in this process; a lead returns ``(snapshot,
-    snapshot_bytes, stats)``, the other kinds their stats."""
+def _run_here(task: _Task):
+    """Run ``task`` in this process: ``(snapshot_bytes, [stats])``, with
+    a lead's snapshot as bytes and ``None`` for the other kinds."""
     if task.kind == "cold":
-        return task.spec.execute()
+        return None, [task.specs[0].execute()]
     if task.kind == "tail":
-        return snapshot.run_tail(task.spec, snaps[task.key])
-    snap, stats = _lead(task.spec)
-    return snap, snap.to_bytes(), stats
+        return None, snapshot.run_tail(task.specs, task.snap)
+    snap, stats = _lead(task.specs)
+    return snap.to_bytes(), stats
 
 
 def _decode(task: _Task, fut):
     """A pool task's result, in the shape :func:`_run_here` returns."""
-    if task.kind == "lead":
+    if task.kind == "cold":
+        data, stats = None, [fut.result()]
+    elif task.kind == "tail":
+        data, stats = None, fut.result()
+    else:
         data, stats = fut.result()
-        return snapshot.Snapshot.from_bytes(data), data, SimStats.from_dict(stats)
-    return SimStats.from_dict(fut.result())
+    return data, [SimStats.from_dict(d) for d in stats]
 
 
 class Engine(_ReadsCounters):
@@ -238,10 +239,10 @@ class Engine(_ReadsCounters):
 
     ``fork_warmup=N`` enables forked sweeps: cycle-backend misses sharing
     a :meth:`~repro.engine.spec.RunSpec.warmup_key` in groups of at least
-    ``N`` (floor 2) simulate their common warm-up once and fork the
-    measured tails from a snapshot; a group of any size forks when the
-    cache already holds its warm-up snapshot.  ``fork_warmup=None``
-    (default) keeps every cell cold.
+    ``N`` (floor 2) simulate their common warm-up once and their measured
+    region once, through every member's budget; a group of any size forks
+    when the cache already holds its warm-up snapshot.
+    ``fork_warmup=None`` (default) keeps every cell cold.
 
     ``progress`` is an optional ``callback(event, spec)`` invoked as each
     result lands — ``event`` is one of ``"cached"``, ``"executed"``,
@@ -335,13 +336,12 @@ class Engine(_ReadsCounters):
 
     # -- internals ---------------------------------------------------------------
 
-    def _plan(self, misses: list[RunSpec]):
-        """Turn the batch's misses into tasks.
-
-        Returns ``(ready, waiting, snaps)``: the tasks runnable now; the
-        tails of each group whose lead has not landed yet, by warmup_key;
-        and the group snapshots the cache already holds.
-        """
+    def _plan(self, misses: list[RunSpec]) -> deque[_Task]:
+        """Turn the batch's misses into tasks: one per warm-up group, a
+        tail when the cache holds the group's snapshot, else a lead; and
+        a cold task per other cell.  A group smaller than the fork
+        threshold runs cold, unless the cache holds a snapshot of it that
+        does not parse: then a lead re-warms it and replaces the file."""
         groups: dict[str, list[RunSpec]] = {}
         cold: list[RunSpec] = []
         for spec in misses:
@@ -353,69 +353,68 @@ class Engine(_ReadsCounters):
                 groups.setdefault(spec.warmup_key(), []).append(spec)
             else:
                 cold.append(spec)
-        ready: deque[_Task] = deque()
-        waiting: dict[str, list[_Task]] = {}
-        snaps: dict = {}
+        tasks: deque[_Task] = deque()
+        threshold = max(2, int(self.fork_warmup or 0))
         for key, members in groups.items():
             data = None if self.cache is None else self.cache.get_snapshot(key)
-            try:
-                snap = snapshot.Snapshot.from_bytes(data) if data else None
-            except snapshot.SnapshotError:
-                snap = None  # stale format or corrupt header: re-warm
+            snap = None
+            if data is not None:
+                try:
+                    snap = snapshot.Snapshot.from_bytes(data)
+                except snapshot.SnapshotError:
+                    pass  # stale format or corrupt header: re-warm
             if snap is not None:
-                snaps[key] = snap
-                ready.extend(_Task("tail", s, key) for s in members)
-            elif len(members) >= max(2, int(self.fork_warmup)):
-                ready.append(_Task("lead", members[0], key))
-                waiting[key] = [_Task("tail", s, key) for s in members[1:]]
+                tasks.append(_Task("tail", tuple(members), key, snap))
+            elif data is not None or len(members) >= threshold:
+                tasks.append(_Task("lead", tuple(members), key))
             else:
                 cold.extend(members)
-        ready.extend(_Task("cold", s) for s in cold)
-        return ready, waiting, snaps
+        tasks.extend(_Task("cold", (s,)) for s in cold)
+        return tasks
 
     def _execute(
         self, misses: list[RunSpec], done: dict[RunSpec, SimStats]
     ) -> None:
         """Run the batch's misses through the one executor loop."""
-        ready, waiting, snaps = self._plan(misses)
-        n_worthy = sum(map(_pool_worthy, ready)) + sum(
-            map(len, waiting.values())
+        ready = self._plan(misses)
+        n_workers = min(
+            resolve_workers(self.workers), sum(map(_pool_worthy, ready))
         )
-        n_workers = min(resolve_workers(self.workers), n_worthy)
         pool = (
             ProcessPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
         )
         running: dict = {}
 
-        def land(task: _Task, outcome: Callable[[], object]) -> None:
+        def land(task: _Task, outcome: Callable[[], tuple]) -> None:
             try:
-                result = outcome()
+                data, stats = outcome()
             except (snapshot.SnapshotError, OSError):
                 if task.kind != "tail":
                     raise
                 # a stale, foreign, corrupt or vanished snapshot says
-                # nothing about the cell itself: it runs cold, unforked
-                ready.append(_Task("cold", task.spec))
+                # nothing about the cells: the group re-warms, and the
+                # lead's snapshot replaces the bad file
+                ready.append(task._replace(kind="lead", snap=None))
                 return
             if task.kind == "lead":
-                snap, data, stats = result
-                done[task.spec] = self._record(task.spec, stats)
-                snaps[task.key] = snap
+                snap = snapshot.Snapshot.from_bytes(data)
                 if self.cache is not None:
                     self.cache.put_snapshot(task.key, data)
-                ready.extend(waiting.pop(task.key))
             else:
-                restored = snaps[task.key] if task.kind == "tail" else None
-                done[task.spec] = self._record(task.spec, result, restored)
+                snap = task.snap
+            for i, (spec, result) in enumerate(zip(task.specs, stats)):
+                # a lead's first member paid the warm-up
+                paid = task.kind == "lead" and i == 0
+                done[spec] = self._record(spec, result, None if paid else snap)
 
         try:
             while ready or running:
                 while ready:
                     task = ready.popleft()
                     if pool is not None and _pool_worthy(task):
-                        running[self._submit(pool, task, snaps)] = task
+                        running[self._submit(pool, task)] = task
                     else:
-                        land(task, partial(_run_here, task, snaps))
+                        land(task, partial(_run_here, task))
                 if running:
                     finished, _ = wait(running, return_when=FIRST_COMPLETED)
                     # land every result that arrived before raising a
@@ -429,22 +428,21 @@ class Engine(_ReadsCounters):
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-    def _submit(self, pool: ProcessPoolExecutor, task: _Task, snaps: dict):
+    def _submit(self, pool: ProcessPoolExecutor, task: _Task):
         if task.kind == "cold":
-            return pool.submit(_execute_payload, task.spec.to_dict())
+            return pool.submit(_execute_payload, task.specs[0].to_dict())
+        spec_dicts = [s.to_dict() for s in task.specs]
         if task.kind == "lead":
-            return pool.submit(_warmup_payload, task.spec.to_dict())
-        # workers read the snapshot from its cache file when there is one
-        # (pickling a path beats pickling megabytes per cell)
-        if self.cache is not None:
-            ref = (str(self.cache.snapshot_path(task.key)), None)
-        else:
-            ref = (None, snaps[task.key].to_bytes())
-        return pool.submit(_tail_payload, task.spec.to_dict(), *ref)
+            return pool.submit(_warmup_payload, spec_dicts)
+        # a tail's worker reads the snapshot from its cache file (pickling
+        # a path beats pickling the snapshot)
+        path = str(self.cache.snapshot_path(task.key))
+        return pool.submit(_tail_payload, spec_dicts, path)
 
     def _record(self, spec: RunSpec, stats: SimStats, restored=None) -> SimStats:
         """Land one fresh result: memo, cache write, counters, progress
-        event.  ``restored`` is the snapshot a forked tail started from."""
+        event.  ``restored`` is the snapshot of the warm-up a forked cell
+        skipped."""
         self._memo[spec] = stats.copy()  # isolate from the caller
         if self.cache is not None:
             self.cache.put(spec, stats)

@@ -31,13 +31,19 @@ interoperate only within one :data:`SNAPSHOT_FORMAT` /
 :data:`~repro.engine.spec.SPEC_VERSION` pair — a mismatch reads as
 :class:`SnapshotError`, which cache layers treat as a miss.  A payload
 that fails to decompress or unpickle raises :class:`SnapshotError` from
-:meth:`Snapshot.restore`, and the scheduler runs the cell cold.
+:meth:`Snapshot.restore`, and the scheduler re-warms the group.
 
-Forking (the scheduler's warmup amortization) builds on two helpers:
-:func:`capture_warmup` runs a spec's warm-up region once and snapshots at
-the measured-region boundary; :func:`run_tail` restores that snapshot
-under any spec sharing the same :meth:`~repro.engine.spec.RunSpec.
-warmup_key` and simulates only the divergent measured region.
+Forking (the scheduler's warm-up amortization) runs each warm-up group
+on one machine.  Specs that share a :meth:`~repro.engine.spec.RunSpec.
+warmup_key` differ only in their measured commit budget, so a run to one
+budget is a prefix of a run to any larger one.  :func:`measure_group`
+runs a group's measured region once, through every member's budget in
+ascending order, on a machine at the group's warm-up boundary.  That
+machine comes from :func:`capture_warmup`, which pays the warm-up once
+and snapshots the boundary for the cache, or from :func:`run_tail`,
+which restores a cached snapshot once.  So a snapshot serves a later
+invocation that adds a budget to a group, and ``repro-sim run
+--snapshot/--restore``; the members of one map never wait on one.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from __future__ import annotations
 import json
 import pickle
 import zlib
+from collections.abc import Sequence
 
 from repro.core.processor import Processor
 from repro.core.state import MachineState
@@ -181,13 +188,29 @@ def capture_warmup(spec: RunSpec) -> tuple[Snapshot, Processor]:
     return Snapshot.capture(proc, spec=spec), proc
 
 
-def run_tail(spec: RunSpec, snap: Snapshot) -> SimStats:
-    """Execute only ``spec``'s measured region, continuing from ``snap``.
+def measure_group(proc: Processor, specs: Sequence[RunSpec]) -> list[SimStats]:
+    """Run the measured region of every spec of one warm-up group on
+    ``proc``, a machine at the group's warm-up boundary: one
+    :meth:`Processor.run` to the largest budget, with the statistics
+    copied at each member's own.
 
-    Bit-identical to ``spec.execute()`` when the snapshot sits at the
-    spec's own warm-up boundary (the differential suite's core claim).
+    Returns one result per spec, in order, each bit-identical to the
+    spec's ``execute()``.
     """
-    proc = snap.restore(spec)
-    kwargs = spec.run_kwargs()
-    kwargs["warmup_commits"] = 0
-    return proc.run(**kwargs)
+    if len({spec.warmup_key() for spec in specs}) != 1:
+        raise ValueError("the specs do not share one warm-up boundary")
+    runs = [spec.run_kwargs() for spec in specs]
+    return proc.run(
+        max_commits=[kwargs["max_commits"] for kwargs in runs],
+        max_cycles=runs[0]["max_cycles"],
+    )
+
+
+def run_tail(specs: Sequence[RunSpec], snap: Snapshot) -> list[SimStats]:
+    """Restore ``snap`` once and measure every spec of its warm-up group
+    (see :func:`measure_group`), skipping the warm-up.
+
+    Bit-identical to each spec's ``execute()`` when the snapshot sits at
+    the group's warm-up boundary (the differential suite's core claim).
+    """
+    return measure_group(snap.restore(specs[0]), specs)

@@ -427,9 +427,10 @@ class RunSpec(Memoized):
     def run_kwargs(self) -> dict:
         """The resolved ``Processor.run`` arguments for this spec.
 
-        Shared by :meth:`instantiate` and the snapshot-restore tail path
-        (which zeroes ``warmup_commits`` after restoring at the warm-up
-        boundary) so budget resolution can never drift between them.
+        Shared by :meth:`instantiate` and the forked path, which measures
+        a warm-up group from its boundary
+        (:func:`repro.engine.snapshot.measure_group`), so budget
+        resolution can never drift between them.
         """
         commits, warmup = self.budgets()
         max_cycles = 8_000_000 if self.workload.n_threads == 1 else 4_000_000

@@ -7,10 +7,11 @@ safe: entry permissions honor the umask instead of ``mkstemp``'s 0600
 (a root-owned 0600 entry reads as permission-denied, i.e. an eternal
 miss, for everyone else); orphaned ``*.tmp`` files from killed writers
 get swept; racing ``put``/``get``/``put_snapshot`` calls never observe a
-torn entry; a fork follower that reads a concurrently-rewritten,
-truncated or corrupt ``.snap`` file falls back to a cold execute instead
-of killing the whole sweep; and a pool worker killed mid-sweep fails the
-map promptly while every result that landed first stays in the cache.
+torn entry; a forked group whose ``.snap`` file is concurrently
+rewritten or removed, truncated, corrupt or foreign re-warms and
+replaces the file instead of killing the whole sweep; and a pool worker
+killed mid-sweep fails the map promptly while every result that landed
+first stays in the cache.
 """
 
 from __future__ import annotations
@@ -248,96 +249,105 @@ class TestRacingEngines:
 
 
 class _RewrittenSnapCache(ResultCache):
-    """Serves a valid snapshot to the scheduler's validation read, but
-    points phase-2 workers at a corrupt file — modelling a ``.snap``
-    another process rewrites between validation and the follower's
-    read."""
+    """Serves the planner's read of each group's snapshot from ``valid``
+    but points pool workers at another file, modelling a ``.snap`` that
+    another process rewrites or removes between the planner's read and
+    the worker's.  A lead's snapshot goes where the workers read."""
 
-    def __init__(self, root, valid_bytes):
+    def __init__(self, root, valid: dict[str, bytes]):
         super().__init__(root)
-        self._valid = valid_bytes
+        self._valid = valid
 
     def get_snapshot(self, warmup_key):
-        return self._valid
+        return self._valid[warmup_key]
 
     def snapshot_path(self, warmup_key):
-        return self.root / "corrupt.snap"
+        return self.root / f"{warmup_key}.rewritten.snap"
 
 
 class TestForkFollowerFallback:
-    """A follower hitting a bad snapshot runs cold; the sweep survives."""
+    """A cached snapshot that cannot be restored re-warms its group: the
+    results equal cold runs, the group's lead replaces the bad file, and
+    a following map forks from the new one."""
 
-    def _specs(self):
-        # same warm-up prefix (only the measured budget differs), so the
-        # scheduler groups them under one warmup_key
-        return [tiny_spec(commits_per_thread=c) for c in (1000, 1400)]
+    def _groups(self):
+        # two warm-up groups of two cells that differ only in their
+        # measured budget: with two workers, a pool worker restores each
+        # group's snapshot
+        return [
+            [tiny_spec(seed=seed, commits_per_thread=c) for c in (1000, 1400)]
+            for seed in (0, 1)
+        ]
+
+    def _valid(self, groups) -> dict[str, bytes]:
+        from repro.engine.snapshot import capture_warmup
+
+        return {
+            g[0].warmup_key(): capture_warmup(g[0])[0].to_bytes()
+            for g in groups
+        }
+
+    def _assert_rewarmed(self, cache, groups, workers):
+        from repro.engine.snapshot import Snapshot
+
+        specs = [s for g in groups for s in g]
+        results = Engine(workers=workers, cache=cache, fork_warmup=2).map(specs)
+        reference = Engine.serial().map(specs)
+        for spec in specs:
+            assert results[spec].to_dict() == reference[spec].to_dict()
+        # each group's first cell paid the warm-up again, its second forked
+        assert results.n_executed == 4 and results.n_forked == 2
+        for g in groups:
+            key = g[0].warmup_key()
+            data = cache.snapshot_path(key).read_bytes()
+            assert Snapshot.from_bytes(data).meta["warmup_key"] == key
+        newcomers = [
+            tiny_spec(seed=g[0].seed, commits_per_thread=2000) for g in groups
+        ]
+        following = Engine(workers=workers, cache=cache, fork_warmup=2).map(
+            newcomers
+        )
+        assert following.n_forked == 2
+        for spec in newcomers:
+            assert following[spec].to_dict() == spec.execute().to_dict()
 
     def test_parallel_follower_corrupt_snap_runs_cold(self, tmp_path):
-        from repro.engine.snapshot import capture_warmup
-
-        specs = self._specs()
-        snap, _ = capture_warmup(specs[0])
-        (tmp_path / "corrupt.snap").write_bytes(b"repro-snap\n{torn")
-        cache = _RewrittenSnapCache(tmp_path, snap.to_bytes())
-        engine = Engine(workers=2, cache=cache, fork_warmup=2)
-        results = engine.map(specs)  # pre-fix: SnapshotError killed this
-        reference = Engine.serial().map(specs)
-        for spec in specs:
-            assert results[spec].to_dict() == reference[spec].to_dict()
-        assert results.n_executed == 2
-        assert results.n_forked == 0
-        assert results.warmup_cycles_saved == 0
+        groups = self._groups()
+        cache = _RewrittenSnapCache(tmp_path, self._valid(groups))
+        for g in groups:
+            path = cache.snapshot_path(g[0].warmup_key())
+            path.write_bytes(b"repro-snap\n{torn")
+        self._assert_rewarmed(cache, groups, workers=2)
 
     def test_parallel_follower_vanished_snap_runs_cold(self, tmp_path):
-        from repro.engine.snapshot import capture_warmup
-
-        specs = self._specs()
-        snap, _ = capture_warmup(specs[0])
-        # snapshot_path points at a file nobody ever wrote: the follower
-        # gets FileNotFoundError instead of SnapshotError
-        cache = _RewrittenSnapCache(tmp_path, snap.to_bytes())
-        engine = Engine(workers=2, cache=cache, fork_warmup=2)
-        results = engine.map(specs)
-        reference = Engine.serial().map(specs)
-        for spec in specs:
-            assert results[spec].to_dict() == reference[spec].to_dict()
-        assert results.n_forked == 0
+        # the workers' files were never written: they get
+        # FileNotFoundError instead of SnapshotError
+        groups = self._groups()
+        cache = _RewrittenSnapCache(tmp_path, self._valid(groups))
+        self._assert_rewarmed(cache, groups, workers=2)
 
     def test_serial_foreign_snapshot_runs_cold(self, tmp_path):
         # a valid snapshot filed under the *wrong* warmup key (copied
-        # between cache dirs by hand) fails restore's fork-key check;
-        # the serial path must also fall back per cell
+        # between cache dirs by hand) fails restore's fork-key check
         from repro.engine.snapshot import capture_warmup
 
-        specs = self._specs()
-        foreign = tiny_spec(seed=7)
-        snap, _ = capture_warmup(foreign)
+        groups = self._groups()
+        foreign = capture_warmup(tiny_spec(seed=7))[0].to_bytes()
         cache = ResultCache(tmp_path)
-        cache.put_snapshot(specs[0].warmup_key(), snap.to_bytes())
-        engine = Engine(workers=1, cache=cache, fork_warmup=2)
-        results = engine.map(specs)
-        reference = Engine.serial().map(specs)
-        for spec in specs:
-            assert results[spec].to_dict() == reference[spec].to_dict()
-        assert results.n_forked == 0 and results.n_executed == 2
+        for g in groups:
+            cache.put_snapshot(g[0].warmup_key(), foreign)
+        self._assert_rewarmed(cache, groups, workers=1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_truncated_payload_runs_cold(self, tmp_path, workers):
         # an intact header passes the planner's check, so only restore
         # sees the cut-short payload; it must fail as SnapshotError (not
-        # zlib.error) for the cells to run cold instead of killing the map
-        from repro.engine.snapshot import capture_warmup
-
-        specs = self._specs()
-        snap, _ = capture_warmup(specs[0])
+        # zlib.error) for the group to re-warm instead of killing the map
+        groups = self._groups()
         cache = ResultCache(tmp_path)
-        cache.put_snapshot(specs[0].warmup_key(), snap.to_bytes()[:-200])
-        engine = Engine(workers=workers, cache=cache, fork_warmup=2)
-        results = engine.map(specs)
-        reference = Engine.serial().map(specs)
-        for spec in specs:
-            assert results[spec].to_dict() == reference[spec].to_dict()
-        assert results.n_forked == 0 and results.n_executed == 2
+        for key, data in self._valid(groups).items():
+            cache.put_snapshot(key, data[:-200])
+        self._assert_rewarmed(cache, groups, workers=workers)
 
 
 class TestKilledWorker:

@@ -469,6 +469,23 @@ class TestForkedSweeps:
         for spec in specs:
             assert result[spec].to_dict() == cold[spec].to_dict()
 
+    def test_corrupt_snapshot_of_a_lone_cell_is_replaced(self, tmp_path):
+        # below the fork threshold, but the cache meant to fork this
+        # group: the cell re-warms as a lead and rewrites the file
+        from repro.engine.snapshot import Snapshot
+
+        cache = ResultCache(tmp_path)
+        spec, newcomer = forkable(600), forkable(1500)
+        key = spec.warmup_key()
+        cache.put_snapshot(key, b"garbage")
+        result = Engine(workers=1, cache=cache, fork_warmup=2).map([spec])
+        assert result.n_executed == 1 and result.n_forked == 0
+        snap = Snapshot.from_bytes(cache.get_snapshot(key))
+        assert snap.meta["warmup_key"] == key
+        again = Engine(workers=1, cache=cache, fork_warmup=2).map([newcomer])
+        assert again.n_forked == 1
+        assert again[newcomer].to_dict() == newcomer.execute().to_dict()
+
     @pytest.mark.parametrize("name", list(FORK_GROUPS))
     def test_group_shapes_serial(self, name):
         members = FORK_GROUPS[name]
@@ -510,6 +527,47 @@ class TestForkedSweeps:
         assert result.n_cached == 1 and result.n_executed == 2
         assert result.n_forked == 2
         for spec in (old, *new):
+            assert result[spec].to_dict() == spec.execute().to_dict()
+
+    def test_a_group_simulates_one_measured_region(self, monkeypatch):
+        # one run to warm up and one through every budget; a lone group
+        # is one task, so even two workers run it in this process
+        from repro.core.processor import Processor
+
+        calls = []
+        run = Processor.run
+        monkeypatch.setattr(
+            Processor, "run",
+            lambda proc, **kw: calls.append(kw) or run(proc, **kw),
+        )
+        members = FORK_GROUPS["non_decoupled"]
+        result = Engine(workers=2, fork_warmup=2).map(members)
+        assert result.n_forked == len(members) - 1
+        assert [type(kw["max_commits"]) for kw in calls] == [int, list]
+        assert calls[1]["max_commits"] == [
+            s.budgets()[0] for s in members
+        ]
+
+    def test_a_cached_group_takes_one_restore(self, tmp_path, monkeypatch):
+        from repro.engine.snapshot import Snapshot
+
+        cache = ResultCache(tmp_path)
+        old, other, *new = (
+            fork_sibling(c) for c in (1000, 800, 1200, 900, 1100)
+        )
+        Engine(workers=1, cache=cache, fork_warmup=2).map([old, other])
+        restores = []
+        restore = Snapshot.restore
+        monkeypatch.setattr(
+            Snapshot, "restore",
+            lambda snap, spec: restores.append(spec) or restore(snap, spec),
+        )
+        result = Engine(workers=1, cache=cache, fork_warmup=2).map(
+            [old, *new]
+        )
+        assert len(restores) == 1
+        assert result.n_cached == 1 and result.n_forked == len(new)
+        for spec in new:
             assert result[spec].to_dict() == spec.execute().to_dict()
 
     def test_group_below_threshold_stays_cold(self):

@@ -487,7 +487,7 @@ PINNED_ROUTING = {
     # promoted cells that differ only in their budget fork
     "mixed_forked": (
         _mixed_forked_doc,
-        "7dcb0355b7e30384c137714c8080a890948a8e41e9a410fad63258ae777198f1"),
+        "0da254ce074ae107c4ba612a79b07e9997e6f3778518cfd22854c82ce9c6f81c"),
     # the same map apart from the order in which its results land
     "mixed_forked_without_events": (
         lambda tmp: {

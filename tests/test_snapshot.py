@@ -29,6 +29,7 @@ from repro.engine.snapshot import (
     Snapshot,
     SnapshotError,
     capture_warmup,
+    measure_group,
     run_tail,
 )
 from repro.engine.spec import RunSpec
@@ -273,9 +274,9 @@ class TestForkedSiblings:
         base = self._spec(800)
         snap, _ = capture_warmup(base)
         snap = Snapshot.from_bytes(snap.to_bytes())
-        for commits in (800, 1200, 1600):
-            sib = self._spec(commits)
-            assert run_tail(sib, snap).to_dict() == sib.execute().to_dict()
+        sibs = [self._spec(commits) for commits in (800, 1200, 1600)]
+        for sib, stats in zip(sibs, run_tail(sibs, snap)):
+            assert stats.to_dict() == sib.execute().to_dict()
 
     def test_group_shapes_hold_what_they_pin(self):
         keys = [{s.warmup_key() for s in m} for m in FORK_GROUPS.values()]
@@ -301,6 +302,68 @@ class TestForkedSiblings:
             kw["warmup_commits"] = 0
             assert proc.run(**kw).to_dict() == stats_cold.to_dict()
             assert proc.state.fingerprint() == proc_cold.state.fingerprint()
+
+    @pytest.mark.parametrize("name", list(FORK_GROUPS))
+    def test_one_restore_measures_every_member(self, name):
+        members = FORK_GROUPS[name]
+        snap, _ = capture_warmup(members[0])
+        proc = Snapshot.from_bytes(snap.to_bytes()).restore(members[0])
+        results = measure_group(proc, members)
+        colds = [run_cold(spec) for spec in members]
+        assert len({id(stats) for stats in results}) == len(members)
+        for stats, (_, stats_cold) in zip(results, colds):
+            assert stats.to_dict() == stats_cold.to_dict()
+        # the machine stops where the largest member's cold run stopped
+        largest = max(colds, key=lambda c: c[1].committed)[0]
+        assert proc.state.fingerprint() == largest.state.fingerprint()
+        proc.check_invariants()
+
+    def test_a_group_shares_one_warmup_boundary(self):
+        snap, proc = capture_warmup(self._spec(800))
+        with pytest.raises(ValueError, match="warm-up boundary"):
+            measure_group(proc, [self._spec(800), fork_sibling(800, seed=1)])
+
+
+class TestMultiBudgetRun:
+    """``Processor.run`` through several budgets equals one run per
+    budget, whichever stop ends each: its commit budget, the cycle limit
+    set when the region starts, or a finite program's drain."""
+
+    def _compare(self, build, budgets, **kw):
+        together = build().run(max_commits=list(budgets), **kw)
+        for budget, stats in zip(budgets, together):
+            alone = build().run(max_commits=budget, **kw)
+            assert stats.to_dict() == alone.to_dict()
+        return together
+
+    @pytest.mark.parametrize("fast_forward", [True, False])
+    def test_cycle_limit_stops_the_larger_budgets(self, fast_forward):
+        spec = fork_sibling(800, n_threads=2)
+        warm = spec.run_kwargs()["warmup_commits"]
+        together = self._compare(
+            lambda: spec.instantiate()[0], (2000, 900, 60_000, 2000),
+            max_cycles=1500, warmup_commits=warm, fast_forward=fast_forward,
+        )
+        assert together[2].cycles == 1500 > together[1].cycles
+        assert together[0] is not together[3]
+
+    def test_finite_program_drains_before_the_larger_budgets(self):
+        from conftest import ProgramBuilder
+
+        from repro.core.config import MachineConfig
+        from repro.core.processor import Processor
+
+        b = ProgramBuilder()
+        for i in range(60):
+            b.load_f(dest=40 + i % 8, addr=0x2000 + 64 * i)
+            b.falu(dest=48 + i % 8, srcs=(40 + i % 8,))
+        trace = b.trace()
+        cfg = MachineConfig(n_threads=2)
+        together = self._compare(
+            lambda: Processor(cfg, [[trace]] * 2, wrap=False),
+            (50, 100_000, 150), max_cycles=100_000,
+        )
+        assert together[1].committed == 2 * len(trace)
 
 
 class TestSnapshotFormat:
