@@ -357,12 +357,10 @@ class Engine(_ReadsCounters):
         threshold = max(2, int(self.fork_warmup or 0))
         for key, members in groups.items():
             data = None if self.cache is None else self.cache.get_snapshot(key)
-            snap = None
-            if data is not None:
-                try:
-                    snap = snapshot.Snapshot.from_bytes(data)
-                except snapshot.SnapshotError:
-                    pass  # stale format or corrupt header: re-warm
+            try:
+                snap = None if data is None else snapshot.Snapshot.from_bytes(data)
+            except snapshot.SnapshotError:
+                snap = None  # stale format or corrupt header: re-warm
             if snap is not None:
                 tasks.append(_Task("tail", tuple(members), key, snap))
             elif data is not None or len(members) >= threshold:
